@@ -7,9 +7,9 @@ element on R/I and the computation drops to the specialization in one
 fewer variable with the same Betti table; the reduction repeats while it
 applies, which keeps the worked fixtures small.
 
-Characteristic zero is computed over two large primes whose tables must
-agree (a disagreement raises, never resolves silently); an exact-rational
-run is available behind a flag.
+Characteristic zero is computed over the two large primes of
+``fields.PROXY_PRIMES``, whose tables must agree (a disagreement raises,
+never resolves silently); an exact-rational run is available behind a flag.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
-from .fields import Field, QQ, field_of
+from .fields import PROXY_PRIMES, Field, QQ, field_of
 from .ideals import GeneratedIdeal, Ideal, QuotientRing, specht_ideal
-from .linalg import Echelon
+from .linalg import Echelon, add_scaled
 from .specht import specht_poly_degree
 from .tableaux import Partition
 from .varieties import ResourceLimitError
 
-PROXY_PRIMES = (32003, 1000003)
 _DEFAULT_COLUMN_CAP = 20_000
 
 
@@ -153,23 +152,13 @@ def koszul_betti(
             maps = [q.mult_map(s, t) for s in range(m)]
             for S in subsets[i]:
                 smaller = [
-                    (pos, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
+                    (-1 if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
                     for pos, s in enumerate(S)
                 ]
                 for src in range(qdim[t]):
                     row: dict = {}
-                    for pos, s_idx, s in smaller:
-                        sign = -1 if pos % 2 else 1
-                        base = s_idx * tgt_block
-                        for dst, c in maps[s][src].items():
-                            key = base + dst
-                            nv = row.get(key, 0) + (c if sign > 0 else -c)
-                            if work.field.characteristic:
-                                nv %= work.field.characteristic
-                            if nv:
-                                row[key] = nv
-                            else:
-                                row.pop(key, None)
+                    for sign, s_idx, s in smaller:
+                        add_scaled(row, sign, maps[s][src], ech.p, s_idx * tgt_block)
                     ech.insert(row)
             ranks[(i, j)] = ech.rank
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from . import __version__
-from .fields import QQ, field_of
+from .fields import PROXY_PRIMES, field_of
 from .betti import cm_verdict, default_j_max, koszul_betti
 from .ideals import (
     IntersectionInk,
@@ -204,16 +204,12 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _field(ch: int):
-    return QQ if ch == 0 else field_of(ch)
-
-
 # -- command bodies -------------------------------------------------------------
 
 
 def _cmd_gens(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
-    fld = _field(args.char)
+    fld = field_of(args.char)
     order = NATURAL if args.order == "natural" else INVERSE
     tabs = enumerate_standard_tableaux(shape, order)
     rows = [{"tableau": t.text(), "polynomial": str(specht_poly(t, fld))} for t in tabs]
@@ -230,7 +226,7 @@ def _cmd_gens(args, report: Report) -> int:
 
 def _cmd_hilbert(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
-    fld = _field(args.char)
+    fld = field_of(args.char)
     d_max = args.max_deg if args.max_deg is not None else shape.parts[0] + 4
     ideal = specht_ideal(shape, fld)
     dims = hilbert_function(ideal, d_max)
@@ -253,7 +249,7 @@ def _cmd_hilbert(args, report: Report) -> int:
 
 def _cmd_radical_check(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
-    fld = _field(args.char)
+    fld = field_of(args.char)
     d_bound = args.max_deg if args.max_deg is not None else shape.parts[0] + 4
     n, k = shape.n, shape.parts[0] + 1
     ideal = specht_ideal(shape, fld)
@@ -306,13 +302,14 @@ def _cmd_betti(args, report: Report) -> int:
     if args.char == 0:
         verdict = cm_verdict(shape, 0, j_max=jm)
         table = verdict.table
+        over = " and ".join(f"GF({p})" for p in PROXY_PRIMES)
         report.add(
             "proxy_primes_agree",
             True,
-            f"homology_betti.koszul_betti over GF(32003) and GF(1000003), j<= {jm}",
+            f"homology_betti.koszul_betti over {over}, j<= {jm}",
         )
     else:
-        table = koszul_betti(specht_ideal(shape, _field(args.char)), jm)
+        table = koszul_betti(specht_ideal(shape, field_of(args.char)), jm)
     report.tables["betti"] = table.to_jsonable()
     report.tables["betti_diagram"] = table.m2_lines()
     report.add(
@@ -344,7 +341,7 @@ def _cmd_catalan(args, report: Report) -> int:
     if n < 1:
         raise ValueError("--n must be positive")
     cn = comb(2 * n + 1, n) // (2 * n + 1)
-    fld = _field(args.char)
+    fld = field_of(args.char)
     r_even = independence_rank(Partition((n, n)), fld)
     r_odd = independence_rank(Partition((n, n - 1)), fld) if n >= 2 else 1
     report.add("catalan_number", cn, "C_n = binom(2n+1, n) / (2n+1)")
@@ -379,7 +376,7 @@ def _cmd_catalan(args, report: Report) -> int:
 
 def _cmd_straighten(args, report: Report) -> int:
     t = Tableau.from_text(args.tableau)
-    fld = _field(args.char)
+    fld = field_of(args.char)
     cls, sign = tableau_to_class(t)
     out = straighten_quasi_h(cls, args.prefix)
     rec = Polynomial.zero(cls.nvars, fld)
@@ -413,7 +410,7 @@ def _cmd_condition_star(args, report: Report) -> int:
 
 def _cmd_socle_probe(args, report: Report) -> int:
     mu = Partition.from_text(args.shape)
-    fld = _field(args.char)
+    fld = field_of(args.char)
     m = mu.n
     ideal = sum_ideal(
         specht_ideal(mu, fld), SquarefreeDegreeIdeal(m, args.squarefree_deg, fld)

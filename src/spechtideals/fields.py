@@ -11,6 +11,11 @@ from fractions import Fraction
 
 _MAX_PRIME = 1 << 31
 
+# Two large primes that stand in for characteristic 0: Betti tables are
+# computed over both and must agree, and I_{n,k} dimensions over the
+# rationals are probed with their collapse ranks.
+PROXY_PRIMES = (32003, 1000003)
+
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, valid for all m < 3,215,031,751."""

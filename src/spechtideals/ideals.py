@@ -3,8 +3,10 @@
 Ideal kinds: finitely generated (incremental per-degree echelons), partition
 ideals P_Pi (collapse kernels), the intersections I_{n,k} of all P_F over
 k-subsets, squarefree-monomial-degree ideals I_<m>, and sums.  All values
-are exact; components are computed lazily per degree and cached on the
-ideal instance.
+are exact; components are computed lazily per degree, and every kind's
+``component`` goes through one per-degree cache on the ideal instance
+(``_per_degree``), so a repeat call returns the same GradedBasis.  All
+elimination runs in :mod:`linalg`.
 
 Two structural accelerations, both backed by standard facts and verified
 structurally at use:
@@ -13,24 +15,39 @@ structurally at use:
   differences x_i - x_n), then x_n is a regular element on R/I, so quotient
   dimensions satisfy dim (R/I)_d = sum_{e<=d} dim (S/phi(I))_e for the
   specialization phi: x_n -> 0, and the chain recurses;
-* for I_{n,k} over the rationals, a mod-p collapse rank gives a certified
-  upper bound on dim (I_{n,k})_d which, when it meets a lower bound coming
-  from an included subideal, pins the exact dimension without rational
-  elimination.  If the bounds do not meet, the exact fraction-free
-  elimination runs instead.
+* for I_{n,k} over the rationals, a mod-p collapse rank over each of the
+  ``fields.PROXY_PRIMES`` gives a certified upper bound on dim (I_{n,k})_d
+  which, when it meets a lower bound coming from an included subideal,
+  pins the exact dimension without rational elimination.  If the bounds do
+  not meet, the exact fraction-free elimination runs instead.
+
+One incidence builder, ``IntersectionInk._incidence``, serves I_{n,k}:
+``_collapse_rank`` computes every collapse rank from it (dense vectorized
+elimination over GF(p) when the matrix has at most ``_DENSE_CELL_CAP``
+cells, sparse exact elimination otherwise and always over the rationals),
+and ``component`` reads the null space of the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .fields import Field, QQ, field_of
-from .linalg import Echelon, GradedBasis, echelon_span, rank_dense_mod_p, span_and_kernel
+from .fields import PROXY_PRIMES, Field, QQ, field_of
+from .linalg import (
+    Echelon,
+    GradedBasis,
+    add_scaled,
+    echelon_span,
+    null_space,
+    rank_dense_mod_p,
+    rank_sparse,
+    span_and_kernel,
+)
 from .poly import (
     Polynomial,
     dim_degree,
@@ -43,7 +60,6 @@ from .specht import SpechtSystem
 from .tableaux import NATURAL, LetterOrder, Partition
 
 _DENSE_CELL_CAP = 8_000_000
-_PROBE_PRIMES = (32003, 1000003)
 
 
 @lru_cache(maxsize=None)
@@ -59,12 +75,27 @@ def _mult_table(nvars: int, d_src: int, i: int) -> tuple:
     return tuple(out)
 
 
+def _per_degree(build):
+    """Decorate a kind's ``component`` method with the per-degree cache that
+    every ideal kind shares: a repeat call returns the same GradedBasis."""
+
+    @wraps(build)
+    def component(self, d: int) -> GradedBasis:
+        basis = self._components.get(d)
+        if basis is None:
+            basis = self._components[d] = build(self, d)
+        return basis
+
+    return component
+
+
 class Ideal:
     """Base for homogeneous ideals; concrete kinds fill in components."""
 
     def __init__(self, nvars: int, fld: Field):
         self.nvars = nvars
         self.field = fld
+        self._components: dict[int, GradedBasis] = {}
 
     def component(self, d: int) -> GradedBasis:
         raise NotImplementedError
@@ -110,9 +141,6 @@ class GeneratedIdeal(Ideal):
     def generator_list(self):
         return list(self.gens)
 
-    def min_degree(self) -> int | None:
-        return min(self._by_degree) if self._by_degree else None
-
     # -- incremental echelons -------------------------------------------
     def _echelon(self, d: int) -> Echelon:
         ech = self._ech.get(d)
@@ -130,6 +158,7 @@ class GeneratedIdeal(Ideal):
         self._ech[d] = ech
         return ech
 
+    @_per_degree
     def component(self, d: int) -> GradedBasis:
         return GradedBasis.from_echelon(self._echelon(d), self.nvars, d)
 
@@ -228,7 +257,6 @@ class PartitionIdealK(Ideal):
             for v in b:
                 rep[v - 1] = r
         self.rep = tuple(rep)
-        self._cache: dict[int, GradedBasis] = {}
 
     def collapse_monomial(self, m) -> tuple:
         e = [0] * self.nvars
@@ -249,22 +277,21 @@ class PartitionIdealK(Ideal):
     def dim(self, d: int) -> int:
         return dim_degree(self.nvars, d) - dim_degree(len(self.blocks), d)
 
+    @_per_degree
     def component(self, d: int) -> GradedBasis:
-        basis = self._cache.get(d)
-        if basis is not None:
-            return basis
-        monos = monomials_of_degree(self.nvars, d)
-        fibers: dict[tuple, list[int]] = {}
-        for j, m in enumerate(monos):
-            fibers.setdefault(self.collapse_monomial(m), []).append(j)
         ech = Echelon(self.field)
-        for group in fibers.values():
+        for group in self._fibers(d):
             j0 = group[0]
             for j in group[1:]:
-                ech.insert({j0: 1, j: self.field.neg(1) if self.field.characteristic else -1})
-        basis = GradedBasis.from_echelon(ech, self.nvars, d)
-        self._cache[d] = basis
-        return basis
+                ech.insert({j0: 1, j: -1})
+        return GradedBasis.from_echelon(ech, self.nvars, d)
+
+    def _fibers(self, d: int) -> list[list[int]]:
+        """The degree-d monomial indices grouped by their collapsed monomial."""
+        out: dict[tuple, list[int]] = {}
+        for j, m in enumerate(monomials_of_degree(self.nvars, d)):
+            out.setdefault(self.collapse_monomial(m), []).append(j)
+        return list(out.values())
 
     def contains(self, p: Polynomial) -> bool:
         if p.is_zero():
@@ -297,120 +324,58 @@ class IntersectionInk(Ideal):
         self.subsets = list(combinations(range(1, nvars + 1), k))
         self.cliques = [clique_ideal(nvars, F, fld) for F in self.subsets]
         self._dim_cache: dict[int, int] = {}
-        self._basis_cache: dict[int, GradedBasis] = {}
 
     # -- membership -------------------------------------------------------
     def contains(self, p: Polynomial) -> bool:
         return all(c.contains(p) for c in self.cliques)
 
     # -- the collapse matrix -----------------------------------------------
-    def _fibers(self, d: int) -> list[list[list[int]]]:
-        monos = monomials_of_degree(self.nvars, d)
-        out = []
-        for cl in self.cliques:
-            fibers: dict[tuple, list[int]] = {}
-            for j, m in enumerate(monos):
-                fibers.setdefault(cl.collapse_monomial(m), []).append(j)
-            out.append(list(fibers.values()))
-        return out
+    def _incidence(self, d: int) -> list[dict]:
+        """One 0/1 row per fiber of each clique's collapse map on the degree-d
+        monomials.  A polynomial lies in (I_{n,k})_d exactly when its
+        coefficients sum to zero over every fiber, i.e. the component is the
+        null space of these rows."""
+        return [dict.fromkeys(group, 1) for cl in self.cliques for group in cl._fibers(d)]
 
-    def _collapse_rank(self, d: int, p: int) -> int:
-        """Rank over GF(p) of the joint collapse map on the degree-d piece."""
-        nrows = dim_degree(self.nvars, d)
-        fibers = self._fibers(d)
-        ncols = sum(len(f) for f in fibers)
-        if nrows * ncols <= _DENSE_CELL_CAP:
-            a = np.zeros((nrows, ncols), dtype=np.int64)
-            col = 0
-            for fib in fibers:
-                for group in fib:
-                    for j in group:
-                        a[j, col] = 1
-                    col += 1
+    def _collapse_rank(self, d: int, fld: Field) -> int:
+        """Rank of the degree-d incidence rows over fld: dense vectorized
+        elimination over GF(p) when the matrix has at most _DENSE_CELL_CAP
+        cells, sparse exact elimination otherwise and always over QQ."""
+        rows = self._incidence(d)
+        nmonos = dim_degree(self.nvars, d)
+        p = fld.characteristic
+        if p and nmonos * len(rows) <= _DENSE_CELL_CAP:
+            a = np.zeros((nmonos, len(rows)), dtype=np.int64)
+            for col, row in enumerate(rows):
+                a[list(row), col] = 1
             return rank_dense_mod_p(a, p)
-        fld = field_of(p)
-        ech = Echelon(fld)
-        if ncols <= nrows:
-            rows: list[dict] = [dict() for _ in range(nrows)]
-            col = 0
-            for fib in fibers:
-                for group in fib:
-                    for j in group:
-                        rows[j][col] = 1
-                    col += 1
-            for row in rows:
-                ech.insert(row)
-        else:
-            for fib in fibers:
-                for group in fib:
-                    ech.insert({j: 1 for j in group})
-        return ech.rank
-
-    def _collapse_rank_exact_qq(self, d: int) -> int:
-        nrows = dim_degree(self.nvars, d)
-        fibers = self._fibers(d)
-        ncols = sum(len(f) for f in fibers)
-        ech = Echelon(QQ)
-        if ncols <= nrows:
-            rows: list[dict] = [dict() for _ in range(nrows)]
-            col = 0
-            for fib in fibers:
-                for group in fib:
-                    for j in group:
-                        rows[j][col] = 1
-                    col += 1
-            for row in rows:
-                ech.insert(row)
-        else:
-            for fib in fibers:
-                for group in fib:
-                    ech.insert({j: 1 for j in group})
-        return ech.rank
+        return rank_sparse(rows, fld)
 
     def dim(self, d: int, certified_lower: int | None = None) -> int:
         if d in self._dim_cache:
             return self._dim_cache[d]
         total = dim_degree(self.nvars, d)
-        p = self.field.characteristic
-        if p != 0:
-            val = total - self._collapse_rank(d, p)
-        else:
-            val = None
-            if certified_lower is not None:
-                # mod-p rank <= rational rank, so total - rank_p is an upper
-                # bound for the kernel dimension; meeting the lower bound
-                # certifies exactness.
-                for probe in _PROBE_PRIMES:
-                    upper = total - self._collapse_rank(d, probe)
-                    if upper == certified_lower:
-                        val = upper
-                        break
-            if val is None:
-                val = total - self._collapse_rank_exact_qq(d)
+        val = None
+        if self.field.characteristic == 0 and certified_lower is not None:
+            # mod-p rank <= rational rank, so total - rank_p is an upper
+            # bound for the kernel dimension; meeting the lower bound
+            # certifies exactness.
+            for probe in PROXY_PRIMES:
+                upper = total - self._collapse_rank(d, field_of(probe))
+                if upper == certified_lower:
+                    val = upper
+                    break
+        if val is None:
+            val = total - self._collapse_rank(d, self.field)
         self._dim_cache[d] = val
         return val
 
+    @_per_degree
     def component(self, d: int) -> GradedBasis:
-        basis = self._basis_cache.get(d)
-        if basis is not None:
-            return basis
-        monos = monomials_of_degree(self.nvars, d)
-        nrows = len(monos)
-        fibers = self._fibers(d)
-        rows: list[dict] = [dict() for _ in range(nrows)]
-        col = 0
-        for fib in fibers:
-            for group in fib:
-                for j in group:
-                    rows[j][col] = 1
-                col += 1
-        _, kernel = span_and_kernel(rows, self.field, col)
         ech = Echelon(self.field)
-        for combo in kernel:
-            ech.insert(dict(combo))
-        basis = GradedBasis.from_echelon(ech, self.nvars, d)
-        self._basis_cache[d] = basis
-        return basis
+        for v in null_space(self._incidence(d), self.field, dim_degree(self.nvars, d)):
+            ech.insert(v)
+        return GradedBasis.from_echelon(ech, self.nvars, d)
 
 
 class SquarefreeDegreeIdeal(Ideal):
@@ -437,6 +402,7 @@ class SquarefreeDegreeIdeal(Ideal):
             for s in range(self.m, min(self.nvars, d) + 1)
         )
 
+    @_per_degree
     def component(self, d: int) -> GradedBasis:
         rows = {}
         for j, m in enumerate(monomials_of_degree(self.nvars, d)):
@@ -455,18 +421,14 @@ class SumIdealGeneric(Ideal):
         first = parts[0]
         super().__init__(first.nvars, first.field)
         self.parts = list(parts)
-        self._cache: dict[int, GradedBasis] = {}
 
+    @_per_degree
     def component(self, d: int) -> GradedBasis:
-        basis = self._cache.get(d)
-        if basis is None:
-            ech = Echelon(self.field)
-            for part in self.parts:
-                for piv, row in part.component(d).rows.items():
-                    ech.insert(dict(row))
-            basis = GradedBasis.from_echelon(ech, self.nvars, d)
-            self._cache[d] = basis
-        return basis
+        ech = Echelon(self.field)
+        for part in self.parts:
+            for row in part.component(d).rows.values():
+                ech.insert(row)
+        return GradedBasis.from_echelon(ech, self.nvars, d)
 
 
 def sum_ideal(*parts: Ideal) -> Ideal:
@@ -649,13 +611,9 @@ class QuotientRing:
 
     def reduce_row(self, row: dict, d: int) -> dict:
         """Normal form in quotient coordinates (positions in the basis)."""
-        basis = self.ideal.component(d)
-        ech = basis._as_field_echelon()
-        reduced = ech.reduce_exact(row)
-        pos = self._pos[d] if d in self._pos else None
-        if pos is None:
-            self.basis_columns(d)
-            pos = self._pos[d]
+        reduced = self.ideal.component(d).reduce_row(row)
+        self.basis_columns(d)
+        pos = self._pos[d]
         return {pos[j]: c for j, c in reduced.items()}
 
     def reduce_poly(self, p: Polynomial) -> dict:
@@ -730,19 +688,13 @@ def mult_injective(form: Polynomial, ideal: Ideal, d: int) -> MultMapReport:
     src = q.basis_columns(d)
     fld = ideal.field
     coeffs = {m.index(1): fld.of(c) for m, c in form.terms.items()}
-    ech = Echelon(fld)
-    rank = 0
+    rows = []
     for t in range(len(src)):
         row: dict = {}
         for i, c in coeffs.items():
-            for pos, v in q.mult_map(i, d)[t].items():
-                nv = fld.add(row.get(pos, 0), fld.mul(c, v))
-                if nv:
-                    row[pos] = nv
-                else:
-                    row.pop(pos, None)
-        if ech.insert(row) is not None:
-            rank += 1
+            add_scaled(row, c, q.mult_map(i, d)[t], fld.characteristic)
+        rows.append(row)
+    rank = rank_sparse(rows, fld)
     dim_src = len(src)
     dim_tgt = q.quotient_dim(d + 1)
     return MultMapReport(

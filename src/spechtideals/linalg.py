@@ -1,11 +1,18 @@
 """Exact graded linear algebra: reduced echelon forms, ranks, kernels.
 
+This is the package's one linear-algebra core: the exact eliminations of
+``ideals`` and ``betti`` all run on :class:`Echelon`, and their sparse-row
+updates on :func:`add_scaled`.
+
 Rows are sparse ``{column: coefficient}`` dicts.  Over GF(p) the engine
 does ordinary monic elimination; over the rationals it is fraction-free
 (Bareiss-style cross-multiplication with content stripping), so all
 intermediate entries are integers.  Reduced form is maintained
 incrementally, which keeps stored rows supported on their pivot plus the
-current non-pivot columns only.
+current non-pivot columns only.  Normal forms modulo a reduced basis go
+through :meth:`Echelon.reduce_exact`.  Ranks come from
+:func:`rank_sparse` over any field, or from the vectorized
+:func:`rank_dense_mod_p` over GF(p) when the whole matrix fits in memory.
 """
 
 from __future__ import annotations
@@ -17,6 +24,22 @@ import numpy as np
 
 from .fields import Field, QQ
 from .poly import Polynomial, monomials_of_degree, poly_to_row
+
+
+def add_scaled(row: dict, c, src: dict, p: int, offset: int = 0) -> None:
+    """In place ``row += c * src``, src's columns shifted by ``offset``.
+
+    Entries are reduced mod p when p > 0 and dropped when they cancel.
+    """
+    for k, v in src.items():
+        k += offset
+        nv = row.get(k, 0) + c * v
+        if p:
+            nv %= p
+        if nv:
+            row[k] = nv
+        else:
+            row.pop(k, None)
 
 
 class Echelon:
@@ -35,13 +58,17 @@ class Echelon:
         self.touch: dict[int, set] = {}
         self.kernel_rows: list[dict] = []
 
+    @classmethod
+    def of_reduced(cls, field: Field, rows: dict[int, dict]) -> "Echelon":
+        """Reduction-only view of rows already in reduced echelon form, keyed
+        by pivot (such as ``GradedBasis.rows``); do not insert into it."""
+        ech = cls(field)
+        ech.rows = rows
+        return ech
+
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
 
     # -- elimination primitives --------------------------------------------
     def _eliminate(self, row: dict, c: int) -> None:
@@ -169,10 +196,6 @@ class Echelon:
             self.touch.setdefault(k, set()).add(pivot)
         return pivot
 
-    def insert_many(self, rows) -> None:
-        for row in rows:
-            self.insert(row)
-
     def monic_rows(self) -> dict[int, dict]:
         """Canonical reduced rows: pivot coefficient 1 (Fractions over QQ)."""
         out = {}
@@ -227,6 +250,24 @@ def span_and_kernel(rows: list[dict], field: Field, ncols: int) -> tuple[Echelon
     return ech, kernel
 
 
+def null_space(rows, field: Field, ncols: int) -> list[dict]:
+    """Basis of {v : row . v = 0 for every row} among vectors on ncols columns.
+
+    One vector per non-pivot column f of the reduced echelon form: e_f minus
+    the column-f entries of the monic pivot rows, placed at their pivots.
+    """
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(row)
+    monic = ech.monic_rows()
+    kernel = {f: {f: 1} for f in range(ncols) if f not in monic}
+    for piv, row in monic.items():
+        for f, v in row.items():
+            if f != piv:
+                kernel[f][piv] = -v
+    return list(kernel.values())
+
+
 class GradedBasis:
     """Reduced-echelon basis of a subspace of the degree-d component.
 
@@ -249,9 +290,6 @@ class GradedBasis:
     def dimension(self) -> int:
         return len(self.rows)
 
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.rows)
-
     def vectors(self) -> list[Polynomial]:
         monos = monomials_of_degree(self.nvars, self.degree)
         out = []
@@ -265,25 +303,18 @@ class GradedBasis:
             raise ValueError("ring dimension mismatch")
         return poly_to_row(p.map_field(self.field), self.degree)
 
+    def reduce_row(self, row: dict) -> dict:
+        """Canonical normal form of a coefficient row modulo this subspace."""
+        return Echelon.of_reduced(self.field, self.rows).reduce_exact(row)
+
     def reduce_poly(self, p: Polynomial) -> Polynomial:
         """Canonical normal form of p modulo this subspace."""
-        ech = self._as_field_echelon()
-        row = ech.reduce_exact(self._row_of(p))
+        row = self.reduce_row(self._row_of(p))
         monos = monomials_of_degree(self.nvars, self.degree)
         return Polynomial(self.nvars, self.field, {monos[j]: c for j, c in row.items()})
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce_poly(p).is_zero()
-
-    def _as_field_echelon(self) -> Echelon:
-        ech = Echelon.__new__(Echelon)
-        ech.field = self.field
-        ech.p = self.field.characteristic
-        ech.aug_base = None
-        ech.rows = self.rows
-        ech.touch = {}
-        ech.kernel_rows = []
-        return ech
 
     def __eq__(self, other):
         return (
@@ -345,18 +376,9 @@ def intersect_spans(bases: list[GradedBasis]) -> GradedBasis:
         r = len(vrows)
         for combo in kernel:
             vec: dict = {}
-            fld = first.field
             for i, c in combo.items():
-                if i >= r:
-                    continue
-                for k, v in vrows[i].items():
-                    nv = vec.get(k, 0) + c * v if fld.characteristic == 0 else (
-                        vec.get(k, 0) + c * v
-                    ) % fld.characteristic
-                    if nv:
-                        vec[k] = nv
-                    else:
-                        vec.pop(k, None)
+                if i < r:
+                    add_scaled(vec, c, vrows[i], ech.p)
             if vec:
                 ech.insert(vec)
         current = GradedBasis.from_echelon(ech, first.nvars, first.degree)
@@ -392,6 +414,7 @@ def rank_dense_mod_p(matrix: np.ndarray, p: int) -> int:
 
 
 def rank_sparse(rows, field: Field) -> int:
+    """Rank of sparse rows over any exact field, by incremental elimination."""
     ech = Echelon(field)
     for row in rows:
         ech.insert(row)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from .tableaux import Partition, enumerate_standard_tableaux
 
 
@@ -138,6 +136,8 @@ def placement_feasible_dominance(counts, capacities) -> bool:
 
 def placement_feasible_flow(counts, capacities) -> bool:
     """Max-flow reference for the same feasibility question."""
+    import networkx as nx  # only this reference engine needs it
+
     total = sum(counts)
     if total != sum(capacities):
         return False

@@ -1,6 +1,10 @@
 """CLI subcommands: verdicts, exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,16 @@ class TestErrors:
     def test_unknown_command_exit_two(self):
         _, code = run(["frobnicate"])
         assert code == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_networkx_unloaded(self):
+        # networkx serves only the max-flow reference engine, which loads it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = "import sys, spechtideals.cli; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

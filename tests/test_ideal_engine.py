@@ -2,6 +2,7 @@
 
 import pytest
 
+from spechtideals import ideals
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import (
     GeneratedIdeal,
@@ -9,6 +10,7 @@ from spechtideals.ideals import (
     PartitionIdealK,
     QuotientRing,
     SquarefreeDegreeIdeal,
+    SumIdealGeneric,
     clique_ideal,
     equal_up_to_degree,
     hilbert_function,
@@ -56,6 +58,60 @@ class TestComponents:
         for d in range(5):
             info = q.info(d)
             assert info.check()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: specht_ideal(Partition((2, 2))),
+            lambda: clique_ideal(4, (1, 2, 3)),
+            lambda: IntersectionInk(4, 3, QQ),
+            lambda: SquarefreeDegreeIdeal(4, 2, QQ),
+            lambda: SumIdealGeneric([specht_ideal(Partition((2, 2))), IntersectionInk(4, 3, QQ)]),
+        ],
+        ids=["generated", "partition", "intersection", "squarefree", "sum"],
+    )
+    def test_component_cached_per_degree(self, make):
+        ideal = make()
+        assert ideal.component(3) is ideal.component(3)
+
+    @pytest.mark.parametrize("n,k,d_max", [(5, 3, 4), (6, 4, 5)])
+    def test_sparse_collapse_rank_matches_dense(self, monkeypatch, n, k, d_max):
+        gf = field_of(32003)
+        dense = [IntersectionInk(n, k, gf).dim(d) for d in range(d_max + 1)]
+        assert dense == [IntersectionInk(n, k, gf).component(d).dimension for d in range(d_max + 1)]
+        monkeypatch.setattr(ideals, "_DENSE_CELL_CAP", 0)
+        for fld in (gf, QQ):
+            ink = IntersectionInk(n, k, fld)
+            assert [ink.dim(d) for d in range(d_max + 1)] == dense
+        probed = IntersectionInk(n, k, QQ)  # certified through sparse GF(p) probes
+        assert [probed.dim(d, certified_lower=v) for d, v in enumerate(dense)] == dense
+
+    @pytest.mark.parametrize(
+        "ideal,normal_forms",
+        [
+            (
+                IntersectionInk(4, 3, QQ),
+                ["x1*x4^2 + x2*x3^2 + x2*x3*x4 - x2*x4^2 - x3^2*x4", "x1^2*x4 - x2*x3*x4",
+                 "x1*x4 + x2*x3 - x3*x4"],
+            ),
+            (clique_ideal(4, (1, 2, 3)), ["x3^3", "0", "x3^2"]),
+            (
+                SumIdealGeneric([specht_ideal(Partition((2, 2))), SquarefreeDegreeIdeal(4, 3, QQ)]),
+                ["0", "x1^2*x4", "x1*x4 + x2*x3 - x3*x4"],
+            ),
+            (IntersectionInk(5, 3, field_of(3)), ["x1*x2*x3", "x1^2*x4 + 2*x2*x3*x4", "x1*x2"]),
+        ],
+        ids=["intersection-QQ", "partition", "sum", "intersection-GF3"],
+    )
+    def test_normal_forms(self, ideal, normal_forms):
+        fld, m = ideal.field, ideal.nvars
+        polys = [
+            x(1, m, fld) * x(2, m, fld) * x(3, m, fld),
+            x(1, m, fld) ** 2 * x(4, m, fld) - x(2, m, fld) * x(3, m, fld) * x(4, m, fld),
+            x(1, m, fld) * x(2, m, fld),
+        ]
+        q = QuotientRing(ideal)
+        assert [str(q.normal_form(p)) for p in polys] == normal_forms
 
     def test_generated_membership(self):
         ideal = specht_ideal(Partition((2, 2)))
@@ -220,6 +276,24 @@ class TestSocleAndMult:
             ) * x(1, m, fld)
             nf = QuotientRing(A).normal_form(wit)
             assert soc.contains(nf)
+
+    @pytest.mark.parametrize(
+        "n,ch,socle_basis,normal_forms",
+        [
+            (5, 2, ["x2*x3 + x2*x4 + x3*x4"], ["x2*x3 + x2*x4 + x3*x4", "x1^2 + x2*x4"]),
+            (5, 0, [], ["2*x1*x4 + 3*x2*x3 - x2*x4 - x3*x4", "x1^2 - x2*x4"]),
+            (6, 3, [], ["2*x1*x5 + 2*x2*x5 + 2*x3*x5", "x1^2 + 2*x2*x5 + 2*x3*x4 + x3*x5"]),
+        ],
+    )
+    def test_socle_and_normal_forms(self, n, ch, socle_basis, normal_forms):
+        A, fld, m = self.build_A(n, ch)
+        assert [str(v) for v in socle(A, 2).vectors()] == socle_basis
+        wit = x(1, m, fld) * x(2, m, fld) + x(2, m, fld) * x(3, m, fld) + x(
+            3, m, fld
+        ) * x(1, m, fld)
+        other = x(1, m, fld) * x(1, m, fld) - x(4, m, fld) * x(2, m, fld)
+        q = QuotientRing(A)
+        assert [str(q.normal_form(p)) for p in (wit, other)] == normal_forms
 
     def test_char0_socle_vanishes(self):
         for n in (5, 6):
