@@ -110,7 +110,6 @@ def _reduce_while_invariant(ideal: Ideal) -> Ideal:
 def koszul_betti(
     ideal: Ideal,
     j_max: int,
-    reduce_invariant: bool = True,
     max_columns: int = _DEFAULT_COLUMN_CAP,
 ) -> BettiTable:
     """Betti table of R/I for internal degrees <= j_max.
@@ -119,7 +118,7 @@ def koszul_betti(
     ResourceLimitError rather than grinding.
     """
     original_n = ideal.nvars
-    work = _reduce_while_invariant(ideal) if reduce_invariant else ideal
+    work = _reduce_while_invariant(ideal)
     m = work.nvars
     q = QuotientRing(work)
     qdim = [q.quotient_dim(t) for t in range(j_max + 1)]
@@ -208,7 +207,6 @@ def cm_verdict(
     characteristic: int,
     j_max: int | None = None,
     exact_rational: bool = False,
-    max_columns: int = _DEFAULT_COLUMN_CAP,
 ) -> CmVerdict:
     """CM and Gorenstein verdicts from the Betti table.
 
@@ -228,7 +226,7 @@ def cm_verdict(
         ideal = specht_ideal(shape, fld)
         bound = jm
         for _ in range(3):
-            table = koszul_betti(ideal, bound, max_columns=max_columns)
+            table = koszul_betti(ideal, bound)
             if table.closed_off:
                 return table
             bound += 2

@@ -218,9 +218,9 @@ def _cmd_gens(args, report: Report) -> int:
     report.add(
         "generator_count_matches_hook_formula",
         len(tabs) == expected,
-        f"shapes_tableaux.count_standard_tableaux({shape})",
+        f"tableaux.count_standard_tableaux({shape})",
     )
-    report.add("generator_count", len(tabs), f"shapes_tableaux.enumerate_standard_tableaux({shape}, {args.order})")
+    report.add("generator_count", len(tabs), f"tableaux.enumerate_standard_tableaux({shape}, {args.order})")
     return 0 if len(tabs) == expected else 1
 
 
@@ -231,7 +231,7 @@ def _cmd_hilbert(args, report: Report) -> int:
     ideal = specht_ideal(shape, fld)
     dims = hilbert_function(ideal, d_max)
     report.tables["hilbert_function"] = dims
-    provenance = f"ideal_engine.hilbert_function(I^Sp_{shape}, {d_max}, char={args.char})"
+    provenance = f"ideals.hilbert_function(I^Sp_{shape}, {d_max}, char={args.char})"
     report.add("hilbert_function_computed", True, provenance)
     if len(shape.parts) == 2 and shape.parts[1] == 2:
         n = shape.n
@@ -241,7 +241,7 @@ def _cmd_hilbert(args, report: Report) -> int:
         report.add(
             "matches_two_row_series",
             ok,
-            f"expansion of (1+(n-2)t+t^2)/(1-t)^2, n={n}",
+            f"ideals.series_expand((1+(n-2)t+t^2)/(1-t)^2, n={n})",
         )
         return 0 if ok else 1
     return 0
@@ -260,7 +260,7 @@ def _cmd_radical_check(args, report: Report) -> int:
         "intersection": rep.dims_right,
     }
     provenance = (
-        f"ideal_engine.equal_up_to_degree(I^Sp_{shape}, I_{{{n},{k}}}, "
+        f"ideals.equal_up_to_degree(I^Sp_{shape}, I_{{{n},{k}}}, "
         f"D={d_bound}, char={args.char})"
     )
     report.add("equal_up_to_degree", rep.equal, provenance)
@@ -280,7 +280,7 @@ def _cmd_minimal_primes(args, report: Report) -> int:
     report.add(
         "minimal_prime_count",
         len(primes),
-        f"variety_analyzer.minimal_primes({shape})",
+        f"varieties.minimal_primes({shape})",
     )
     return 0
 
@@ -288,7 +288,7 @@ def _cmd_minimal_primes(args, report: Report) -> int:
 def _cmd_purity(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
     rep = height_and_purity(shape)
-    provenance = f"variety_analyzer.height_and_purity({shape})"
+    provenance = f"varieties.height_and_purity({shape})"
     report.add("height", rep.height, provenance)
     report.add("pure", rep.pure, provenance)
     report.add("closed_form_pure", rep.closed_form_pure, provenance)
@@ -306,7 +306,7 @@ def _cmd_betti(args, report: Report) -> int:
         report.add(
             "proxy_primes_agree",
             True,
-            f"homology_betti.koszul_betti over {over}, j<= {jm}",
+            f"betti.cm_verdict over {over}, j<= {jm}",
         )
     else:
         table = koszul_betti(specht_ideal(shape, field_of(args.char)), jm)
@@ -315,7 +315,7 @@ def _cmd_betti(args, report: Report) -> int:
     report.add(
         "top_strand_closed_off",
         table.closed_off,
-        f"homology_betti.koszul_betti(I^Sp_{shape}, j_max={jm}, char={args.char})",
+        f"betti.koszul_betti(I^Sp_{shape}, j_max={jm}, char={args.char})",
     )
     return 0
 
@@ -325,7 +325,7 @@ def _cmd_cm_check(args, report: Report) -> int:
     verdict = cm_verdict(
         shape, args.char, j_max=args.max_deg, exact_rational=args.exact_rational
     )
-    provenance = f"homology_betti.cm_verdict({shape}, char={args.char})"
+    provenance = f"betti.cm_verdict({shape}, char={args.char})"
     report.add("pd", verdict.pd, provenance)
     report.add("depth", verdict.depth, provenance)
     report.add("dim", verdict.dim, provenance)
@@ -348,12 +348,12 @@ def _cmd_catalan(args, report: Report) -> int:
     report.add(
         "rank_shape_n_n",
         r_even,
-        f"specht_construction.independence_rank(({n},{n}), char={args.char})",
+        f"specht.independence_rank(({n},{n}), char={args.char})",
     )
     report.add(
         "rank_shape_n_n_minus_1",
         r_odd,
-        f"specht_construction.independence_rank(({n},{n - 1}), char={args.char})",
+        f"specht.independence_rank(({n},{n - 1}), char={args.char})",
     )
     ok = r_even == cn and r_odd == cn
     if n <= 5:
@@ -367,7 +367,7 @@ def _cmd_catalan(args, report: Report) -> int:
         report.add(
             "minimal_generators_I_2n_n1",
             mu,
-            f"ideal_engine: dim (I_{{{2 * n},{n + 1}}})_d, d <= {n}",
+            f"ideals.IntersectionInk.dim(I_{{{2 * n},{n + 1}}}, d <= {n}, char={args.char})",
         )
         report.tables["intersection_dims"] = dims
         ok = ok and mu == cn and all(v == 0 for v in dims[:n])
@@ -386,12 +386,12 @@ def _cmd_straighten(args, report: Report) -> int:
     report.tables["combination"] = [
         {"coefficient": c, "class": ocls.text()} for c, ocls in out
     ]
-    report.add("input_class", cls.text(), "specht_construction.tableau_to_class")
-    report.add("normalization_sign", sign, "shapes_tableaux.normal_form")
+    report.add("input_class", cls.text(), "specht.tableau_to_class")
+    report.add("normalization_sign", sign, "specht.tableau_to_class")
     report.add(
         "identity_verified",
         ok,
-        f"specht_construction.straighten_quasi_h(k={args.prefix}, char={args.char})",
+        f"specht.straighten_quasi_h(k={args.prefix}, char={args.char})",
     )
     return 0 if ok else 1
 
@@ -403,7 +403,7 @@ def _cmd_condition_star(args, report: Report) -> int:
     report.add(
         "condition_star",
         value,
-        f"variety_analyzer.condition_star({pi}, {shape}, engine={args.engine})",
+        f"varieties.condition_star({pi}, {shape}, engine={args.engine})",
     )
     return 0 if value else 1
 
@@ -416,10 +416,8 @@ def _cmd_socle_probe(args, report: Report) -> int:
         specht_ideal(mu, fld), SquarefreeDegreeIdeal(m, args.squarefree_deg, fld)
     )
     d = args.deg
-    provenance = (
-        f"ideal_engine.socle(S/(I^Sp_{mu} + I_<{args.squarefree_deg}>), d={d}, "
-        f"char={args.char})"
-    )
+    quotient = f"S/(I^Sp_{mu} + I_<{args.squarefree_deg}>), d={d}, char={args.char}"
+    provenance = f"ideals.socle({quotient})"
     soc = socle(ideal, d)
     report.add("socle_dimension", soc.dimension, provenance)
     report.tables["socle_basis"] = [str(v) for v in soc.vectors()]
@@ -436,8 +434,9 @@ def _cmd_socle_probe(args, report: Report) -> int:
     for i in range(m):
         e1 = e1 + Polynomial.variable(m, i, fld)
     mult = mult_injective(e1, ideal, d)
-    report.add("e1_injective", mult.injective, provenance)
-    report.add("e1_bijective", mult.bijective, provenance)
+    mult_provenance = f"ideals.mult_injective(e1, {quotient})"
+    report.add("e1_injective", mult.injective, mult_provenance)
+    report.add("e1_bijective", mult.bijective, mult_provenance)
     report.tables["e1_map"] = {
         "rank": mult.rank,
         "dim_source": mult.dim_source,
@@ -500,7 +499,7 @@ def _cmd_experiment(args, report: Report) -> int:
     report.add(
         "cells_computed",
         len(decided),
-        f"homology_betti.cm_verdict over shapes of n <= {n_max}",
+        f"betti.cm_verdict over shapes of n <= {n_max}",
     )
     report.add(
         "all_consistent_with_characteristic_conjecture",

@@ -13,7 +13,7 @@ _MAX_PRIME = 1 << 31
 
 # Two large primes that stand in for characteristic 0: Betti tables are
 # computed over both and must agree, and I_{n,k} dimensions over the
-# rationals are probed with their collapse ranks.
+# rationals are probed with a collapse rank over the first.
 PROXY_PRIMES = (32003, 1000003)
 
 
@@ -104,9 +104,6 @@ class Field:
         if a % p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, p - 2, p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.characteristic == other.characteristic

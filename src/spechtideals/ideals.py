@@ -15,11 +15,12 @@ structurally at use:
   differences x_i - x_n), then x_n is a regular element on R/I, so quotient
   dimensions satisfy dim (R/I)_d = sum_{e<=d} dim (S/phi(I))_e for the
   specialization phi: x_n -> 0, and the chain recurses;
-* for I_{n,k} over the rationals, a mod-p collapse rank over each of the
-  ``fields.PROXY_PRIMES`` gives a certified upper bound on dim (I_{n,k})_d
-  which, when it meets a lower bound coming from an included subideal,
-  pins the exact dimension without rational elimination.  If the bounds do
-  not meet, the exact fraction-free elimination runs instead.
+* for I_{n,k} over the rationals, a mod-p collapse rank over the first of
+  the ``fields.PROXY_PRIMES`` gives a certified upper bound on
+  dim (I_{n,k})_d which, when it meets a lower bound coming from an
+  included subideal, pins the exact dimension without rational
+  elimination.  If the bounds do not meet, the exact fraction-free
+  elimination runs at once; no second prime is tried.
 
 One incidence builder, ``IntersectionInk._incidence``, serves I_{n,k}:
 ``_collapse_rank`` computes every collapse rank from it (dense vectorized
@@ -359,12 +360,12 @@ class IntersectionInk(Ideal):
         if self.field.characteristic == 0 and certified_lower is not None:
             # mod-p rank <= rational rank, so total - rank_p is an upper
             # bound for the kernel dimension; meeting the lower bound
-            # certifies exactness.
-            for probe in PROXY_PRIMES:
-                upper = total - self._collapse_rank(d, field_of(probe))
-                if upper == certified_lower:
-                    val = upper
-                    break
+            # certifies exactness.  On a miss a second prime rarely helps
+            # (when the subideal is strictly smaller every prime misses),
+            # so the exact rank runs at once.
+            upper = total - self._collapse_rank(d, field_of(PROXY_PRIMES[0]))
+            if upper == certified_lower:
+                val = upper
         if val is None:
             val = total - self._collapse_rank(d, self.field)
         self._dim_cache[d] = val

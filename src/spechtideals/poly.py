@@ -17,10 +17,6 @@ from .fields import Field, QQ
 Monomial = tuple  # exponent tuple, length nvars
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -32,10 +28,6 @@ def mono_key(m: Monomial):
 
 def mono_support(m: Monomial) -> frozenset:
     return frozenset(i for i, e in enumerate(m) if e > 0)
-
-
-def squarefree_part(m: Monomial) -> Monomial:
-    return tuple(1 if e > 0 else 0 for e in m)
 
 
 @lru_cache(maxsize=None)
@@ -190,10 +182,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
     def homogeneous_degree(self):
         """Common degree of all terms, None for 0; raises if inhomogeneous."""
         degs = {sum(m) for m in self.terms}
@@ -339,8 +327,3 @@ def poly_to_row(p: Polynomial, d: int) -> dict:
         raise ValueError(f"polynomial has degree {deg}, expected {d}")
     idx = monomial_index(p.nvars, d)
     return {idx[m]: c for m, c in p.terms.items()}
-
-
-def row_to_poly(row: dict, nvars: int, d: int, field: Field) -> Polynomial:
-    monos = monomials_of_degree(nvars, d)
-    return Polynomial(nvars, field, {monos[j]: c for j, c in row.items()})

@@ -31,19 +31,23 @@ from .tableaux import (
 # Specht polynomials of general tableaux
 
 
+def difference_product(nvars: int, pairs, fld: Field = QQ) -> Polynomial:
+    """Product of (x_a - x_b) over the letter pairs (a, b), in nvars variables."""
+    out = Polynomial.constant(nvars, 1, fld)
+    for a, b in pairs:
+        out = out * (
+            Polynomial.variable(nvars, a - 1, fld) - Polynomial.variable(nvars, b - 1, fld)
+        )
+    return out
+
+
 def specht_poly(t: Tableau, fld: Field = QQ) -> Polynomial:
     """Product over columns of the difference product, in t.n variables.
 
     Single-box columns contribute the factor 1.
     """
-    n = t.n
-    out = Polynomial.constant(n, 1, fld)
-    for col in t.columns():
-        for s, u in combinations(col, 2):
-            out = out * (
-                Polynomial.variable(n, s - 1, fld) - Polynomial.variable(n, u - 1, fld)
-            )
-    return out
+    pairs = [pair for col in t.columns() for pair in combinations(col, 2)]
+    return difference_product(t.n, pairs, fld)
 
 
 def specht_poly_degree(shape: Partition) -> int:
@@ -136,18 +140,7 @@ class TwoRowClass:
             raise ValueError("singletons must be sorted")
 
     def f(self, fld: Field = QQ) -> Polynomial:
-        out = Polynomial.constant(self.nvars, 1, fld)
-        for lo, hi in self.pairs:
-            out = out * (
-                Polynomial.variable(self.nvars, lo - 1, fld)
-                - Polynomial.variable(self.nvars, hi - 1, fld)
-            )
-        return out
-
-    def to_tableau(self) -> Tableau:
-        row1 = tuple(lo for lo, _ in self.pairs) + self.singletons
-        row2 = tuple(hi for _, hi in self.pairs)
-        return Tableau((row1, row2) if row2 else (row1,))
+        return difference_product(self.nvars, self.pairs, fld)
 
     def text(self) -> str:
         pairs = " ".join(f"{lo}:{hi}" for lo, hi in self.pairs)
@@ -225,14 +218,7 @@ def frame_parts(cls: TwoRowClass, k: int):
 
 def h_poly(cls: TwoRowClass, k: int, fld: Field = QQ) -> Polynomial:
     """Product of (x_i - x_j) over the non-prefix pairs."""
-    _, mid, _ = frame_parts(cls, k)
-    out = Polynomial.constant(cls.nvars, 1, fld)
-    for lo, hi in mid:
-        out = out * (
-            Polynomial.variable(cls.nvars, lo - 1, fld)
-            - Polynomial.variable(cls.nvars, hi - 1, fld)
-        )
-    return out
+    return difference_product(cls.nvars, frame_parts(cls, k)[1], fld)
 
 
 def in_Y(cls: TwoRowClass, k: int) -> bool:
@@ -290,8 +276,9 @@ def three_term_split(t: Tableau, pair_col: int, single_col: int) -> tuple[Tablea
     )
 
 
-def _merge(acc: dict, cls: TwoRowClass, coeff: int):
-    c = acc.get(cls, 0) + coeff
+def _merge(acc: dict, cls: TwoRowClass, coeff, fld: Field = QQ):
+    """Add coeff to acc[cls] over fld, dropping the entry when it cancels."""
+    c = fld.add(acc.get(cls, 0), coeff)
     if c:
         acc[cls] = c
     else:
@@ -408,61 +395,42 @@ def sigma_reduce(cls: TwoRowClass, k: int) -> tuple[dict, TwoRowClass]:
 # frJ generator contexts and membership certificates
 
 
-class TwoRowFrJ:
-    """The ideal frJ = (x_i f_T : T in Tab(mu), x_i not in supp f_T) for a
-    two-row mu; generators indexed canonically."""
+class FrJ:
+    """A frJ-style ideal: one generator x^L f_T for each class T with
+    ``npairs`` pairs on the letters 1..nvars and each letter tuple L in
+    ``letters_of(T)``, indexed canonically by (L, T)."""
 
-    def __init__(self, nvars: int, npairs: int, fld: Field):
+    def __init__(self, nvars: int, npairs: int, fld: Field, letters_of):
         self.nvars = nvars
-        self.npairs = npairs
         self.field = fld
-        self.classes = all_two_row_classes(nvars, npairs)
-        self.gens: list[tuple[int, TwoRowClass]] = []
-        self.index: dict = {}
-        for cls in self.classes:
-            for i in cls.singletons:
-                self.index[(i, cls)] = len(self.gens)
-                self.gens.append((i, cls))
+        classes = all_two_row_classes(nvars, npairs)
+        self.gens = [(L, cls) for cls in classes for L in letters_of(cls)]
+        self.index = {gen: idx for idx, gen in enumerate(self.gens)}
 
     def gen_poly(self, idx: int) -> Polynomial:
-        i, cls = self.gens[idx]
-        return Polynomial.variable(self.nvars, i - 1, self.field) * cls.f(self.field)
+        letters, cls = self.gens[idx]
+        xl = _monomial_of_letters(self.nvars, letters)
+        return Polynomial.monomial(self.nvars, xl, 1, self.field) * cls.f(self.field)
 
-    def gen_index(self, i: int, cls: TwoRowClass) -> int:
-        key = (i, cls)
-        if key not in self.index:
-            raise KeyError(f"x_{i} * f{cls.text()} is not an frJ generator")
-        return self.index[key]
+    def gen_index(self, letters: tuple, cls: TwoRowClass) -> int:
+        idx = self.index.get((letters, cls))
+        if idx is None:
+            xl = " * ".join(f"x_{i}" for i in letters)
+            raise KeyError(f"{xl} * f{cls.text()} is not an frJ generator")
+        return idx
 
     def generator_polynomials(self) -> list[Polynomial]:
         return [self.gen_poly(i) for i in range(len(self.gens))]
 
 
-class AA1FrJ:
+def TwoRowFrJ(nvars: int, npairs: int, fld: Field) -> FrJ:
+    """frJ = (x_i f_T : T in Tab(mu), x_i not in supp f_T) for a two-row mu."""
+    return FrJ(nvars, npairs, fld, lambda cls: [(i,) for i in cls.singletons])
+
+
+def AA1FrJ(a: int, fld: Field) -> FrJ:
     """The §4-style ideal (x_i x_j f_T : T in Tab((a,a)), (i,j) a column)."""
-
-    def __init__(self, a: int, fld: Field):
-        self.a = a
-        self.nvars = 2 * a
-        self.field = fld
-        self.classes = all_two_row_classes(self.nvars, a)
-        self.gens: list[tuple[tuple[int, int], TwoRowClass]] = []
-        self.index: dict = {}
-        for cls in self.classes:
-            for pair in cls.pairs:
-                self.index[(pair, cls)] = len(self.gens)
-                self.gens.append((pair, cls))
-
-    def gen_poly(self, idx: int) -> Polynomial:
-        (i, j), cls = self.gens[idx]
-        return (
-            Polynomial.variable(self.nvars, i - 1, self.field)
-            * Polynomial.variable(self.nvars, j - 1, self.field)
-            * cls.f(self.field)
-        )
-
-    def generator_polynomials(self) -> list[Polynomial]:
-        return [self.gen_poly(i) for i in range(len(self.gens))]
+    return FrJ(2 * a, a, fld, lambda cls: cls.pairs)
 
 
 @dataclass
@@ -476,21 +444,18 @@ class MembershipCertificate:
 
     target: Polynomial
     combination: list[tuple[object, Monomial, int]]
-    context: object
+    context: FrJ
     trace: list[str] = dc_field(default_factory=list)
 
-    def combination_polynomials(self) -> list[tuple[Polynomial, int]]:
-        fld = self.target.field
-        n = self.target.nvars
-        return [
-            (Polynomial(n, fld, {mono: coeff}), idx)
-            for coeff, mono, idx in self.combination
-        ]
+    def __post_init__(self):
+        if not self.verify():
+            raise RuntimeError("certificate failed symbolic verification")
 
     def reconstruction(self) -> Polynomial:
-        total = Polynomial.zero(self.target.nvars, self.target.field)
-        for coeff_poly, idx in self.combination_polynomials():
-            total = total + coeff_poly * self.context.gen_poly(idx)
+        fld, n = self.target.field, self.target.nvars
+        total = Polynomial.zero(n, fld)
+        for coeff, mono, idx in self.combination:
+            total = total + Polynomial(n, fld, {mono: coeff}) * self.context.gen_poly(idx)
         return total
 
     def verify(self) -> bool:
@@ -507,12 +472,52 @@ def _monomial_of_letters(nvars: int, letters) -> Monomial:
     return tuple(e)
 
 
-def _in_squarefree_ideal(p: Polynomial, d: int) -> bool:
-    """Membership in the ideal of all degree-d squarefree monomials."""
-    return all(len(mono_support(m)) >= d for m in p.terms)
+def _intake(coeffs: dict, fld: Field, nvars: int, npairs: int) -> dict:
+    """{class or tableau: coefficient} as {class: nonzero field element}.
+
+    A tableau becomes its class, its coefficient times the normalization
+    sign.  Every key must have ``npairs`` pairs on the letters 1..nvars,
+    whatever its coefficient; zeros and cancelled sums are dropped last.
+    """
+    out: dict = {}
+    for key, c in coeffs.items():
+        cls, sgn = tableau_to_class(key) if isinstance(key, Tableau) else (key, 1)
+        if (
+            cls.nvars != nvars
+            or len(cls.pairs) != npairs
+            or 2 * npairs + len(cls.singletons) != nvars
+        ):
+            raise ValueError(
+                f"{cls.text()} does not have shape mu=({nvars - npairs}, {npairs})"
+            )
+        c = fld.mul(fld.of(c), sgn)
+        if c:
+            out[cls] = fld.add(out.get(cls, 0), c)
+    return {cls: c for cls, c in out.items() if c}
 
 
-def _support_lemma_terms(cls: TwoRowClass, k: int, coeff, ctx: TwoRowFrJ, trace: list):
+def _target(nvars: int, letters, current: dict, fld: Field, d: int) -> Polynomial:
+    """x^a * sum c_T f_T for x^a the product of ``letters``; it must lie in
+    the squarefree ideal I_<d> of all degree-d squarefree monomials."""
+    xa = Polynomial.monomial(nvars, _monomial_of_letters(nvars, letters), 1, fld)
+    out = Polynomial.zero(nvars, fld)
+    for cls, c in current.items():
+        out = out + (xa * cls.f(fld)).scale(c)
+    if any(len(mono_support(m)) < d for m in out.terms):
+        raise ValueError(f"x^a * sum c_T f_T is not in the squarefree ideal I_<{d}>")
+    return out
+
+
+def _straighten_all(current: dict, k: int, fld: Field) -> dict:
+    """sum c_T f_T rewritten on quasi-h-standard classes, merged over fld."""
+    out: dict = {}
+    for cls, c in current.items():
+        for sgn, out_cls in straighten_quasi_h(cls, k):
+            _merge(out, out_cls, fld.mul(c, sgn), fld)
+    return out
+
+
+def _support_lemma_terms(cls: TwoRowClass, k: int, coeff, ctx: FrJ, trace: list):
     """Certificate terms for x^a f_T in frJ when x^a is not in supp(f_T)."""
     fld = ctx.field
     prefix = set(range(1, k + 1))
@@ -521,7 +526,7 @@ def _support_lemma_terms(cls: TwoRowClass, k: int, coeff, ctx: TwoRowFrJ, trace:
         i = min(single_hits)
         mono = _monomial_of_letters(cls.nvars, prefix - {i})
         trace.append(f"phase0 direct x_{i} free in {cls.text()} coeff={coeff}")
-        return [(coeff, mono, ctx.gen_index(i, cls))]
+        return [(coeff, mono, ctx.gen_index((i,), cls))]
     shared = [
         (lo, hi) for lo, hi in cls.pairs if lo in prefix and hi in prefix
     ]
@@ -545,11 +550,11 @@ def _support_lemma_terms(cls: TwoRowClass, k: int, coeff, ctx: TwoRowFrJ, trace:
         f"via singleton {s} coeff={coeff}"
     )
     return [
-        (coeff, _monomial_of_letters(cls.nvars, prefix - {j}), ctx.gen_index(j, c1)),
+        (coeff, _monomial_of_letters(cls.nvars, prefix - {j}), ctx.gen_index((j,), c1)),
         (
             fld.neg(coeff),
             _monomial_of_letters(cls.nvars, prefix - {i}),
-            ctx.gen_index(i, c2),
+            ctx.gen_index((i,), c2),
         ),
     ]
 
@@ -576,47 +581,22 @@ def replay_radical_reduction(
     if d < 2:
         raise ValueError("the reduction starts at d >= 2")
     nvars = n - 1
-    npairs = d - 1
     if isinstance(prefix, int):
         letters = tuple(range(1, prefix + 1))
-        prefix = _monomial_of_letters(nvars, letters)
     else:
         prefix = tuple(prefix)
         if len(prefix) != nvars or any(e not in (0, 1) for e in prefix):
             raise ValueError("prefix must be a squarefree monomial in n-1 variables")
         letters = tuple(i + 1 for i, e in enumerate(prefix) if e)
-    if letters and letters != tuple(range(1, len(letters) + 1)):
-        return _replay_relabelled(shape, letters, coeffs, fld)
     k = len(letters)
     if k > d - 1:
         raise ValueError(f"prefix length {k} exceeds d-1 = {d - 1}")
+    current = _intake(coeffs, fld, nvars, d - 1)
+    phi = _target(nvars, letters, current, fld, d)
+    if letters != tuple(range(1, k + 1)):
+        return _replay_relabelled(shape, letters, current, phi, fld)
 
-    current: dict = {}
-    for key, c in coeffs.items():
-        if isinstance(key, Tableau):
-            cls, sgn = tableau_to_class(key)
-            c = fld.mul(fld.of(c), sgn)
-        else:
-            cls = key
-            c = fld.of(c)
-        if (
-            len(cls.pairs) != npairs
-            or cls.nvars != nvars
-            or 2 * npairs + len(cls.singletons) != nvars
-        ):
-            raise ValueError(f"{cls.text()} does not have shape mu=(n-d, d-1)")
-        if c != 0:
-            current[cls] = fld.add(current.get(cls, 0), c)
-    current = {t: c for t, c in current.items() if c != 0}
-
-    xa = Polynomial.monomial(nvars, prefix, 1, fld)
-    phi = Polynomial.zero(nvars, fld)
-    for cls, c in current.items():
-        phi = phi + (xa * cls.f(fld)).scale(c)
-    if not _in_squarefree_ideal(phi, d):
-        raise ValueError("phi is not in the squarefree ideal I_<d>")
-
-    ctx = TwoRowFrJ(nvars, npairs, fld)
+    ctx = TwoRowFrJ(nvars, d - 1, fld)
     trace: list[str] = [f"target shape={shape} prefix=x_1..x_{k}"]
     terms: list = []
 
@@ -629,15 +609,7 @@ def replay_radical_reduction(
     while current:
         round_no += 1
         # Operation 1: straighten onto quasi-h-standard classes.
-        nxt: dict = {}
-        for cls, c in current.items():
-            for sgn, out_cls in straighten_quasi_h(cls, k):
-                v = fld.add(nxt.get(out_cls, 0), fld.mul(c, sgn))
-                if v:
-                    nxt[out_cls] = v
-                else:
-                    nxt.pop(out_cls, None)
-        current = nxt
+        current = _straighten_all(current, k, fld)
         trace.append(f"round {round_no} op1 support={len(current)}")
         if not current:
             break
@@ -654,7 +626,7 @@ def replay_radical_reduction(
                 "independence; implementation bug"
             )
         # Operation 2: apply the sorting permutation, emitting frJ terms.
-        nxt = {}
+        nxt: dict = {}
         for cls, c in current.items():
             sigma, target_cls = sigma_reduce(cls, k)
             if sigma:
@@ -671,21 +643,14 @@ def replay_radical_reduction(
                     f"round {round_no} op2 {cls.text()} jvec {old}->{new} "
                     f"coeff={c} -> {target_cls.text()}"
                 )
-                terms.extend(_sigma_move_terms(cls, k, c, ctx, trace))
-            v = fld.add(nxt.get(target_cls, 0), c)
-            if v:
-                nxt[target_cls] = v
-            else:
-                nxt.pop(target_cls, None)
+                terms.extend(_sigma_move_terms(cls, k, c, ctx))
+            _merge(nxt, target_cls, c, fld)
         current = nxt
 
-    cert = MembershipCertificate(phi, terms, ctx, trace)
-    if not cert.verify():
-        raise RuntimeError("certificate failed symbolic verification")
-    return cert
+    return MembershipCertificate(phi, terms, ctx, trace)
 
 
-def _sigma_move_terms(cls: TwoRowClass, k: int, coeff, ctx: TwoRowFrJ, trace: list):
+def _sigma_move_terms(cls: TwoRowClass, k: int, coeff, ctx: FrJ):
     """Transposition chain realizing sigma_T, one frJ term per move."""
     fld = ctx.field
     nvars = cls.nvars
@@ -714,7 +679,7 @@ def _sigma_move_terms(cls: TwoRowClass, k: int, coeff, ctx: TwoRowFrJ, trace: li
             tuple(sorted((set(singles) - {s_val}) | {l + 1})),
         )
         mono = _monomial_of_letters(nvars, prefix_all - {l + 1})
-        terms.append((fld.mul(coeff, sign), mono, ctx.gen_index(l + 1, witness)))
+        terms.append((fld.mul(coeff, sign), mono, ctx.gen_index((l + 1,), witness)))
         singles.remove(s_val)
         singles.append(w)
         bots[l] = s_val
@@ -734,16 +699,11 @@ def _sigma_move_terms(cls: TwoRowClass, k: int, coeff, ctx: TwoRowFrJ, trace: li
     return terms
 
 
-def _replay_relabelled(shape: Partition, letters, coeffs: dict, fld: Field):
+def _replay_relabelled(shape: Partition, letters, current: dict, phi: Polynomial, fld: Field):
     """Conjugate a general squarefree prefix to x_1..x_k, replay, map back."""
     nvars = shape.n - 1
-    k = len(letters)
-    perm = {}
     rest = [i for i in range(1, nvars + 1) if i not in set(letters)]
-    for pos, letter in enumerate(letters):
-        perm[letter] = pos + 1
-    for pos, letter in enumerate(rest):
-        perm[letter] = k + 1 + pos
+    perm = {letter: pos + 1 for pos, letter in enumerate(list(letters) + rest)}
     inv = {v: u for u, v in perm.items()}
 
     def relabel(cls: TwoRowClass, mapping) -> tuple[TwoRowClass, int]:
@@ -752,39 +712,24 @@ def _replay_relabelled(shape: Partition, letters, coeffs: dict, fld: Field):
         return make_class(nvars, pairs, singles)
 
     moved: dict = {}
-    for key, c in coeffs.items():
-        if isinstance(key, Tableau):
-            key, sgn = tableau_to_class(key)
-            c = fld.mul(fld.of(c), sgn)
-        cls2, sgn = relabel(key, perm)
-        c = fld.mul(fld.of(c), sgn)
-        moved[cls2] = fld.add(moved.get(cls2, 0), c)
-    cert = replay_radical_reduction(shape, k, moved, fld)
+    for cls, c in current.items():
+        cls2, sgn = relabel(cls, perm)
+        moved[cls2] = fld.mul(c, sgn)
+    cert = replay_radical_reduction(shape, len(letters), moved, fld)
 
-    ctx = TwoRowFrJ(nvars, shape.parts[1] - 1, fld)
+    ctx = cert.context
     back_terms = []
     for coeff, mono, idx in cert.combination:
-        i, cls = cert.context.gens[idx]
+        gen_letters, cls = ctx.gens[idx]
         cls_back, sgn = relabel(cls, inv)
         mono_back = _monomial_of_letters(
             nvars, [inv[j + 1] for j, e in enumerate(mono) if e]
         )
-        back_terms.append(
-            (fld.mul(coeff, sgn), mono_back, ctx.gen_index(inv[i], cls_back))
-        )
-    xa = Polynomial.monomial(nvars, _monomial_of_letters(nvars, letters), 1, fld)
-    phi = Polynomial.zero(nvars, fld)
-    for key, c in coeffs.items():
-        if isinstance(key, Tableau):
-            key, sgn = tableau_to_class(key)
-            c = fld.mul(fld.of(c), sgn)
-        phi = phi + (xa * key.f(fld)).scale(c)
-    out = MembershipCertificate(
+        gen_back = tuple(inv[i] for i in gen_letters)
+        back_terms.append((fld.mul(coeff, sgn), mono_back, ctx.gen_index(gen_back, cls_back)))
+    return MembershipCertificate(
         phi, back_terms, ctx, cert.trace + [f"relabelled prefix {letters}"]
     )
-    if not out.verify():
-        raise RuntimeError("relabelled certificate failed verification")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -798,18 +743,13 @@ def aa1_h_and_bar(cls: TwoRowClass, k: int, fld: Field = QQ) -> tuple[Polynomial
     whose first row lists the bottoms in reverse and whose second row lists
     the non-prefix tops in reverse.
     """
-    bots, mid, _ = frame_parts(cls, k)
+    _, mid, _ = frame_parts(cls, k)
     h = h_poly(cls, k, fld)
-    row1 = tuple(hi for _, hi in reversed(cls.pairs))
-    row2 = tuple(lo for lo, _ in reversed(mid))
-    out = Polynomial.constant(cls.nvars, 1, fld)
-    for j in range(len(row2)):
-        out = out * (
-            Polynomial.variable(cls.nvars, row1[j] - 1, fld)
-            - Polynomial.variable(cls.nvars, row2[j] - 1, fld)
-        )
-    sign = 1 if (len(mid)) % 2 == 0 else -1
-    return h, out, sign
+    row1 = [hi for _, hi in reversed(cls.pairs)]
+    row2 = [lo for lo, _ in reversed(mid)]
+    bar = difference_product(cls.nvars, zip(row1, row2), fld)
+    sign = 1 if len(mid) % 2 == 0 else -1
+    return h, bar, sign
 
 
 def replay_aa1_reduction(
@@ -820,71 +760,39 @@ def replay_aa1_reduction(
     psi = x_1..x_k * sum c_T f_T over Tab((a,a)) classes on 2a letters must
     lie in I_<a+1>; the certificate expresses psi in the x_i x_j f_T
     generators.  After straightening, every class outside W contributes a
-    single generator term, and the W-supported remainder must vanish by the
-    independence of the h polynomials.
+    single generator term, and no class inside W may keep a nonzero
+    coefficient, by the independence of the h polynomials on W.
     """
     nvars = 2 * a
     if not 0 <= k <= a:
         raise ValueError("prefix length must be between 0 and a")
-    fldof = fld.of
-    current: dict = {}
-    for key, c in coeffs.items():
-        if isinstance(key, Tableau):
-            key, sgn = tableau_to_class(key)
-            c = fld.mul(fldof(c), sgn)
-        if len(key.pairs) != a or key.nvars != nvars:
-            raise ValueError(f"bad class for mu=(a,a): {key.text()}")
-        c = fldof(c)
-        if c:
-            current[key] = fld.add(current.get(key, 0), c)
-    current = {t: c for t, c in current.items() if c}
-
+    current = _intake(coeffs, fld, nvars, a)
     prefix = tuple(range(1, k + 1))
-    xa = Polynomial.monomial(nvars, _monomial_of_letters(nvars, prefix), 1, fld)
-    psi = Polynomial.zero(nvars, fld)
-    for cls, c in current.items():
-        psi = psi + (xa * cls.f(fld)).scale(c)
-    if not _in_squarefree_ideal(psi, a + 1):
-        raise ValueError("psi is not in the squarefree ideal I_<a+1>")
+    psi = _target(nvars, prefix, current, fld, a + 1)
 
     ctx = AA1FrJ(a, fld)
     trace = [f"aa1 replay a={a} k={k}"]
     terms: list = []
 
     # straighten to standard classes (no singletons: only bottom inversions)
-    standard: dict = {}
-    for cls, c in current.items():
-        for sgn, out_cls in straighten_quasi_h(cls, 0):
-            v = fld.add(standard.get(out_cls, 0), fld.mul(c, sgn))
-            if v:
-                standard[out_cls] = v
-            else:
-                standard.pop(out_cls, None)
+    standard = _straighten_all(current, 0, fld)
     trace.append(f"straightened to {len(standard)} standard classes")
 
-    remainder: dict = {}
+    w_supported = False
     prefix_set = set(prefix)
     for cls, c in standard.items():
-        shared = [p for p in cls.pairs if p[0] in prefix_set and p[1] in prefix_set]
         if in_X(cls, k):
-            remainder[cls] = c
+            w_supported = True
             continue
+        shared = [p for p in cls.pairs if p[0] in prefix_set and p[1] in prefix_set]
         if not shared:
             raise AssertionError("standard class outside W lacks a prefix column")
         i, j = shared[0]
         mono = _monomial_of_letters(nvars, prefix_set - {i, j})
-        terms.append((c, mono, ctx.index[((i, j), cls)]))
+        terms.append((c, mono, ctx.gen_index((i, j), cls)))
         trace.append(f"W-restriction {cls.text()} via column ({i},{j})")
-
-    if remainder:
-        h_total = Polynomial.zero(nvars, fld)
-        for cls, c in remainder.items():
-            h_total = h_total + h_poly(cls, k, fld).scale(c)
-        if not h_total.is_zero() or any(c for c in remainder.values()):
-            raise RuntimeError(
-                "W-supported remainder is nonzero: contradicts h independence"
-            )
-    cert = MembershipCertificate(psi, terms, ctx, trace)
-    if not cert.verify():
-        raise RuntimeError("aa1 certificate failed symbolic verification")
-    return cert
+    if w_supported:
+        raise RuntimeError(
+            "W-supported remainder is nonzero: contradicts h independence"
+        )
+    return MembershipCertificate(psi, terms, ctx, trace)

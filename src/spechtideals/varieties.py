@@ -220,7 +220,7 @@ def evaluation_oracle(pi: SetPartition, shape: Partition) -> bool:
 # Minimal primes, heights, purity
 
 
-def minimal_primes(shape: Partition, engine: str = "dominance") -> list[SetPartition]:
+def minimal_primes(shape: Partition) -> list[SetPartition]:
     """Set partitions Pi with the coloring condition that lose it under every
     one-step refinement; these index the minimal partition primes."""
     n = shape.n
@@ -233,10 +233,10 @@ def minimal_primes(shape: Partition, engine: str = "dominance") -> list[SetParti
     for pi in set_partitions(n):
         if len(pi.blocks) == n:
             continue  # the generic point: P is (0), never contains the ideal
-        if not condition_star(pi, shape, engine):
+        if not condition_star(pi, shape):
             continue
         if all(
-            not condition_star(ref, shape, engine) for ref in one_step_refinements(pi)
+            not condition_star(ref, shape) for ref in one_step_refinements(pi)
         ):
             out.append(pi)
     return out
@@ -263,13 +263,13 @@ class PurityReport:
             )
 
 
-def height_and_purity(shape: Partition, engine: str = "dominance") -> PurityReport:
+def height_and_purity(shape: Partition) -> PurityReport:
     """Height (min over minimal primes), purity, and the closed-form verdict
     (pure iff the next-to-last part equals the first, or the second part
     is 1)."""
     if shape.is_trivial:
         raise ValueError("the trivial shape is excluded")
-    primes = minimal_primes(shape, engine)
+    primes = minimal_primes(shape)
     heights = tuple(sorted({p.height for p in primes}))
     parts = shape.parts
     closed = parts[-2] == parts[0] or parts[1] == 1

@@ -1,14 +1,16 @@
 """CLI subcommands: verdicts, exit codes, report schema, determinism."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from spechtideals.cli import run
+from spechtideals.cli import _COMMANDS, run
 
 
 def run_json(argv):
@@ -183,6 +185,44 @@ class TestReports:
         assert code == 0
         with pytest.raises(ValueError):
             report.render("m2")
+
+
+# One or more runs per subcommand; together they reach every provenance string.
+_PROVENANCE_RUNS = {
+    "gens": [["gens", "--shape", "2,2"]],
+    "hilbert": [["hilbert", "--shape", "3,2", "--max-deg", "4"]],
+    "radical-check": [["radical-check", "--shape", "3,2,1", "--max-deg", "4"]],
+    "minimal-primes": [["minimal-primes", "--shape", "2,2"]],
+    "purity": [["purity", "--shape", "2,2"]],
+    "betti": [["betti", "--shape", "2,2"], ["betti", "--shape", "2,2", "--char", "2"]],
+    "cm-check": [["cm-check", "--shape", "2,2"]],
+    "catalan": [["catalan", "--n", "2"], ["catalan", "--n", "2", "--char", "2"]],
+    "straighten": [["straighten", "--tableau", "1,4,2/5,3", "--prefix", "1"]],
+    "condition-star": [["condition-star", "--shape", "2,2", "--blocks", "1,2|3,4"]],
+    "socle-probe": [["socle-probe", "--shape", "2,2", "--char", "2"]],
+    "experiment": [["experiment", "--n-max", "4", "--primes", "2"]],
+}
+
+# module.attr[.attr...], not preceded by a letter, digit, underscore or dot
+_DOTTED = re.compile(r"(?<![\w.])([a-z_]+)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
+
+
+class TestProvenance:
+    def test_every_command_covered(self):
+        assert set(_PROVENANCE_RUNS) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(_PROVENANCE_RUNS))
+    def test_dotted_names_resolve(self, command):
+        names = []
+        for argv in _PROVENANCE_RUNS[command]:
+            report, _ = run(argv)
+            names += [m for v in report.verdicts for m in _DOTTED.findall(v["provenance"])]
+        assert names, f"{command} names no module.function"
+        for module, path in names:
+            obj = importlib.import_module(f"spechtideals.{module}")
+            for attr in path.split("."):
+                assert hasattr(obj, attr), f"spechtideals.{module}.{path}"
+                obj = getattr(obj, attr)
 
 
 class TestErrors:

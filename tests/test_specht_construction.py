@@ -8,8 +8,10 @@ from spechtideals.fields import QQ, field_of
 from spechtideals.linalg import echelon_span, span_and_kernel
 from spechtideals.poly import Polynomial, mono_mul, mono_support
 from spechtideals.specht import (
+    AA1FrJ,
     SpechtSystem,
     TwoRowClass,
+    TwoRowFrJ,
     aa1_h_and_bar,
     all_two_row_classes,
     h_poly,
@@ -282,6 +284,20 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay_radical_reduction(Partition((3, 2)), 1, {classes[0]: 1}, QQ)
 
+    @pytest.mark.parametrize("prefix", [1, sqf((2,), 4)], ids=["x1", "relabelled"])
+    @pytest.mark.parametrize(
+        "combo",
+        [
+            {TwoRowClass(4, ((1, 2), (3, 4)), ()): 0},
+            {TwoRowClass(4, ((1, 2), (3, 4)), ()): 1, Tableau(((1, 3), (2, 4))): -1},
+        ],
+        ids=["zero", "cancels"],
+    )
+    def test_malformed_key_rejected_whatever_its_coefficient(self, prefix, combo):
+        # two pairs where mu = (3, 1) has one
+        with pytest.raises(ValueError):
+            replay_radical_reduction(Partition((3, 2)), prefix, combo, QQ)
+
     @pytest.mark.parametrize(
         "parts,k", [((3, 2), 1), ((4, 2), 1), ((3, 3), 1), ((3, 3), 2)]
     )
@@ -424,6 +440,11 @@ class TestIndependenceRank:
 
 
 class TestAA1:
+    def test_malformed_key_rejected_with_zero_coefficient(self):
+        # one pair where mu = (2, 2) has two
+        with pytest.raises(ValueError):
+            replay_aa1_reduction(2, 1, {TwoRowClass(4, ((1, 2),), (3, 4)): 0}, QQ)
+
     def test_h_bar_sign(self):
         # the sign relating h_T and the reversed frame is (-1)^(a-k)
         for a, k in ((2, 1), (3, 1), (3, 2)):
@@ -487,3 +508,115 @@ class TestAA1:
             combo = {aa[i]: v for i, v in kv.items()}
             cert = replay_aa1_reduction(3, 2, combo, QQ)
             assert cert.verify()
+
+
+def _classes(nvars, entries):
+    """{class: coefficient} from (pairs, singletons, coefficient) entries."""
+    return {TwoRowClass(nvars, pairs, singles): c for pairs, singles, c in entries}
+
+
+class TestPinnedCertificates:
+    """Certificates and generator orders pinned from an earlier release, so
+    that a refactor of the replay calculus keeps them byte-identical."""
+
+    def test_radical_prefix_x1_x2(self):
+        # (3,3), prefix x_1 x_2: a kernel combination on X plus two classes
+        # outside X (one via the three-term relation, one direct)
+        combo = _classes(5, [
+            (((1, 5), (2, 4)), (3,), 1),
+            (((1, 3), (2, 4)), (5,), -1),
+            (((1, 2), (3, 4)), (5,), 2),
+            (((1, 3), (4, 5)), (2,), -1),
+        ])
+        cert = replay_radical_reduction(Partition((3, 3)), 2, combo, QQ)
+        assert cert.combination == [
+            (2, (1, 0, 0, 0, 0), 11), (-2, (0, 1, 0, 0, 0), 14), (-1, (1, 0, 0, 0, 0), 9),
+            (1, (1, 0, 0, 0, 0), 11), (1, (0, 1, 0, 0, 0), 12), (-1, (1, 0, 0, 0, 0), 10),
+            (1, (1, 0, 0, 0, 0), 9), (1, (0, 1, 0, 0, 0), 14),
+        ]
+        assert cert.trace == [
+            "target shape=(3,3) prefix=x_1..x_2",
+            "phase0 three-term [1:2 3:4 | 5] -> +[1:5 3:4 | 2] -[2:5 3:4 | 1] via singleton 5 coeff=2",
+            "phase0 direct x_2 free in [1:3 4:5 | 2] coeff=-1",
+            "round 1 op1 support=2",
+            "round 1 h-relation ok",
+            "round 1 op2 [1:5 2:4 | 3] jvec [4, 5]->[4, 5] coeff=1 -> [1:4 2:5 | 3]",
+            "round 1 op2 [1:3 2:4 | 5] jvec [3, 4]->[4, 5] coeff=-1 -> [1:4 2:5 | 3]",
+        ]
+
+    def test_radical_relabelled_prefix(self):
+        # (3,3), prefix x_2 x_4: replayed on x_1 x_2 and mapped back
+        combo = _classes(5, [
+            (((1, 2), (4, 5)), (3,), -1),
+            (((1, 2), (3, 4)), (5,), -1),
+            (((1, 3), (2, 4)), (5,), 3),
+        ])
+        cert = replay_radical_reduction(Partition((3, 3)), sqf((2, 4), 5), combo, QQ)
+        assert cert.combination == [
+            (3, (0, 1, 0, 0, 0), 4), (-3, (0, 0, 0, 1, 0), 9), (-1, (0, 0, 0, 1, 0), 9),
+            (-1, (0, 1, 0, 0, 0), 3), (1, (0, 0, 0, 1, 0), 9),
+        ]
+        assert cert.trace == [
+            "target shape=(3,3) prefix=x_1..x_2",
+            "phase0 three-term [1:2 3:4 | 5] -> +[1:5 3:4 | 2] -[2:5 3:4 | 1] via singleton 5 coeff=3",
+            "round 1 op1 support=2",
+            "round 1 h-relation ok",
+            "round 1 op2 [1:3 2:5 | 4] jvec [3, 5]->[4, 5] coeff=1 -> [1:4 2:5 | 3]",
+            "round 1 op2 [1:3 2:4 | 5] jvec [3, 4]->[4, 5] coeff=-1 -> [1:4 2:5 | 3]",
+            "relabelled prefix (2, 4)",
+        ]
+
+    def test_aa1(self):
+        # (3,3,1), prefix x_1 x_2 x_3
+        combo = _classes(6, [
+            (((1, 2), (3, 4), (5, 6)), (), 1), (((1, 2), (3, 5), (4, 6)), (), 2),
+            (((1, 2), (3, 6), (4, 5)), (), 3), (((1, 3), (2, 4), (5, 6)), (), 1),
+            (((1, 3), (2, 5), (4, 6)), (), 2), (((1, 3), (2, 6), (4, 5)), (), 3),
+            (((1, 4), (2, 3), (5, 6)), (), 1), (((1, 4), (2, 6), (3, 5)), (), 2),
+            (((1, 4), (2, 5), (3, 6)), (), -8), (((1, 5), (2, 3), (4, 6)), (), 3),
+            (((1, 5), (2, 4), (3, 6)), (), 1), (((1, 5), (2, 6), (3, 4)), (), 2),
+            (((1, 6), (2, 3), (4, 5)), (), 3), (((1, 6), (2, 4), (3, 5)), (), 1),
+            (((1, 6), (2, 5), (3, 4)), (), 2),
+        ])
+        cert = replay_aa1_reduction(3, 3, combo, QQ)
+        assert cert.combination == [
+            (-3, (0, 0, 1, 0, 0, 0), 3), (-7, (0, 1, 0, 0, 0, 0), 9),
+            (7, (0, 1, 0, 0, 0, 0), 12), (6, (0, 0, 1, 0, 0, 0), 0),
+        ]
+        assert cert.trace == [
+            "aa1 replay a=3 k=3",
+            "straightened to 4 standard classes",
+            "W-restriction [1:2 3:5 4:6 | ] via column (1,2)",
+            "W-restriction [1:3 2:4 5:6 | ] via column (1,3)",
+            "W-restriction [1:3 2:5 4:6 | ] via column (1,3)",
+            "W-restriction [1:2 3:4 5:6 | ] via column (1,2)",
+        ]
+
+    def test_two_row_frj_first_generators(self):
+        ctx = TwoRowFrJ(5, 2, QQ)
+        assert len(ctx.gens) == 15
+        assert [(ctx.gens[i][1].text(), str(ctx.gen_poly(i))) for i in range(4)] == [
+            ("[1:2 3:4 | 5]", "x1*x3*x5 - x1*x4*x5 - x2*x3*x5 + x2*x4*x5"),
+            ("[1:3 2:4 | 5]", "x1*x2*x5 - x1*x4*x5 - x2*x3*x5 + x3*x4*x5"),
+            ("[1:4 2:3 | 5]", "x1*x2*x5 - x1*x3*x5 - x2*x4*x5 + x3*x4*x5"),
+            ("[1:2 3:5 | 4]", "x1*x3*x4 - x1*x4*x5 - x2*x3*x4 + x2*x4*x5"),
+        ]
+        # several singletons per class: generators follow the singleton order
+        ctx = TwoRowFrJ(5, 1, QQ)
+        assert len(ctx.gens) == 30
+        assert [(ctx.gens[i][1].text(), str(ctx.gen_poly(i))) for i in range(4)] == [
+            ("[1:2 | 3,4,5]", "x1*x3 - x2*x3"),
+            ("[1:2 | 3,4,5]", "x1*x4 - x2*x4"),
+            ("[1:2 | 3,4,5]", "x1*x5 - x2*x5"),
+            ("[1:3 | 2,4,5]", "x1*x2 - x2*x3"),
+        ]
+
+    def test_aa1_frj_first_generators(self):
+        ctx = AA1FrJ(2, QQ)
+        assert len(ctx.gens) == 6
+        assert [(ctx.gens[i][1].text(), str(ctx.gen_poly(i))) for i in range(4)] == [
+            ("[1:2 3:4 | ]", "x1^2*x2*x3 - x1^2*x2*x4 - x1*x2^2*x3 + x1*x2^2*x4"),
+            ("[1:2 3:4 | ]", "x1*x3^2*x4 - x1*x3*x4^2 - x2*x3^2*x4 + x2*x3*x4^2"),
+            ("[1:3 2:4 | ]", "x1^2*x2*x3 - x1^2*x3*x4 - x1*x2*x3^2 + x1*x3^2*x4"),
+            ("[1:3 2:4 | ]", "x1*x2^2*x4 - x1*x2*x4^2 - x2^2*x3*x4 + x2*x3*x4^2"),
+        ]
