@@ -202,6 +202,22 @@ def default_j_max(shape: Partition) -> int:
     return specht_poly_degree(shape) + (shape.n - shape.parts[0]) + 3
 
 
+def resolve_j_max(shape: Partition, j_max: int | None) -> int:
+    """The Koszul degree bound for the shape: ``default_j_max`` when None.
+
+    A bound below the generator degree sees no generator, so its table
+    would describe R itself; it is refused rather than reported.
+    """
+    if j_max is None:
+        return default_j_max(shape)
+    degree = specht_poly_degree(shape)
+    if j_max < degree:
+        raise ValueError(
+            f"j_max={j_max} is below the generator degree {degree} of {shape}"
+        )
+    return j_max
+
+
 def cm_verdict(
     shape: Partition,
     characteristic: int,
@@ -219,7 +235,7 @@ def cm_verdict(
     if shape.is_trivial:
         raise ValueError("the trivial shape is excluded")
     n = shape.n
-    jm = default_j_max(shape) if j_max is None else j_max
+    jm = resolve_j_max(shape, j_max)
     trace: list[str] = []
 
     def table_over(fld: Field) -> BettiTable:

@@ -1,15 +1,18 @@
 """Command-line frontend: verdict commands with JSON/markdown/m2 reports.
 
 Exit codes: 0 verdict-true or success, 1 verdict-false (a finding, not an
-error), 2 usage error, 3 resource cap.  Reports are deterministic for a
-fixed configuration and seed: ``timing_ms`` stays null unless --timing is
-given, so byte-identical reruns are the default.
+error), 2 usage error, 3 resource cap.  A reader that closes the pipe early
+(``specht gens ... | head``) does not change the code: the command's own
+exit code is returned and no traceback is printed.  Reports are
+deterministic for a fixed configuration and seed: ``timing_ms`` stays null
+unless --timing is given, so byte-identical reruns are the default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +20,7 @@ from math import comb
 
 from . import __version__
 from .fields import PROXY_PRIMES, field_of
-from .betti import cm_verdict, default_j_max, koszul_betti
+from .betti import cm_verdict, koszul_betti, resolve_j_max
 from .ideals import (
     IntersectionInk,
     SquarefreeDegreeIdeal,
@@ -298,7 +301,7 @@ def _cmd_purity(args, report: Report) -> int:
 
 def _cmd_betti(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
-    jm = args.max_deg if args.max_deg is not None else default_j_max(shape)
+    jm = resolve_j_max(shape, args.max_deg)
     if args.char == 0:
         verdict = cm_verdict(shape, 0, j_max=jm)
         table = verdict.table
@@ -577,9 +580,13 @@ def main(argv=None) -> None:
     if report is not None:
         try:
             print(report.render(report.config.output_format))
+            sys.stdout.flush()
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
+        except BrokenPipeError:
+            # the reader left; keep the interpreter's final flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

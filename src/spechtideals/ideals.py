@@ -521,6 +521,8 @@ def equal_up_to_degree(left: Ideal, right: Ideal, d_bound: int) -> EqualityRepor
     certificate the reduced bases are compared directly.  On disagreement a
     separating polynomial (in one ideal, not the other) is produced.
     """
+    if d_bound < 0:
+        raise ValueError("d_bound must be nonnegative")
     if (left.nvars, left.field) != (right.nvars, right.field):
         raise ValueError("ideals live in different rings")
     incl_lr = _gen_inclusion_degree(left, right, d_bound)

@@ -202,8 +202,9 @@ def _matchings(letters: tuple[int, ...]):
 
 
 def in_X(cls: TwoRowClass, k: int) -> bool:
-    """x_1...x_k divides a term of f, i.e. 1..k sit in k distinct pairs."""
-    if k > len(cls.pairs):
+    """x_1...x_k divides a term of f, i.e. 1..k sit in k distinct pairs
+    (no class is in X for a negative k)."""
+    if k < 0 or k > len(cls.pairs):
         return False
     return all(cls.pairs[l][0] == l + 1 for l in range(k))
 

@@ -11,7 +11,10 @@ agree and are cross-checked in the test suite.
 Minimality of partition primes is decided over one-step refinements: the
 coloring condition is monotone under coarsening (merging blocks preserves
 every forced collision), so failure of all one-step refinements settles
-minimality.
+minimality.  The coloring condition reads only the block sizes, and the
+size profiles of a partition's one-step refinements depend only on its own
+profile, so minimality is decided once per block-size profile (p(n)
+decisions) and reused for every set partition of that profile (Bell(n)).
 """
 
 from __future__ import annotations
@@ -229,15 +232,17 @@ def minimal_primes(shape: Partition) -> list[SetPartition]:
             f"minimal-prime enumeration over Bell({n}) partitions is refused; "
             f"the cap is n <= {_MINIMAL_PRIME_CAP}"
         )
+    minimal: dict[tuple[int, ...], bool] = {}  # block-size profile -> verdict
     out = []
     for pi in set_partitions(n):
-        if len(pi.blocks) == n:
-            continue  # the generic point: P is (0), never contains the ideal
-        if not condition_star(pi, shape):
-            continue
-        if all(
-            not condition_star(ref, shape) for ref in one_step_refinements(pi)
-        ):
+        profile = tuple(pi.block_sizes())
+        if profile not in minimal:
+            minimal[profile] = (
+                len(pi.blocks) < n  # the generic point: P is (0), never contains the ideal
+                and condition_star(pi, shape)
+                and not any(condition_star(r, shape) for r in one_step_refinements(pi))
+            )
+        if minimal[profile]:
             out.append(pi)
     return out
 

@@ -247,6 +247,59 @@ class TestErrors:
         assert code == 2
 
 
+def _cli_process(argv, **kwargs):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "spechtideals.cli", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=300, **kwargs
+    )
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a Koszul bound below the generator degree sees no generator
+            ["cm-check", "--shape", "3,3", "--max-deg", "2", "--char", "0"],
+            ["betti", "--shape", "2,2", "--char", "3", "--max-deg", "-1"],
+            # a negative degree bound compares no degree
+            ["radical-check", "--shape", "2,2", "--max-deg", "-1"],
+            ["straighten", "--tableau", "1,2,3/4,5", "--prefix", "-1"],
+        ],
+    )
+    def test_exit_two_without_traceback(self, argv):
+        out = _cli_process(argv, stdout=subprocess.PIPE)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+    def test_bounds_at_the_edge_stay_valid(self):
+        payload, code = run_json(["cm-check", "--shape", "3,3", "--max-deg", "3"])
+        assert code == 0 and verdict(payload, "is_cm") is True
+        _, code = run_json(["radical-check", "--shape", "2,2", "--max-deg", "0"])
+        assert code == 0
+        _, code = run_json(["straighten", "--tableau", "1,4,2/5,3", "--prefix", "0"])
+        assert code == 0
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["gens", "--shape", "4,4,1"], 0), (["purity", "--shape", "4,2,1"], 1)],
+    )
+    def test_command_exit_code_kept(self, argv, code):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            out = _cli_process(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert out.returncode == code
+        assert out.stderr == ""
+
+
 class TestImport:
     def test_cli_import_leaves_networkx_unloaded(self):
         # networkx serves only the max-flow reference engine, which loads it

@@ -152,6 +152,25 @@ class TestMinimalPrimes:
         with pytest.raises(ResourceLimitError):
             minimal_primes(Partition((9, 1)))
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_bell_definition_in_order(self, n):
+        # the definition over every set partition, in the enumeration order
+        # the CLI prints
+        for lam in enumerate_partitions(n):
+            if lam.is_trivial:
+                continue
+            bell = [
+                pi
+                for pi in set_partitions(n)
+                if condition_star(pi, lam)
+                and not any(condition_star(r, lam) for r in one_step_refinements(pi))
+            ]
+            assert minimal_primes(lam) == bell, lam
+
+    def test_counts_n9(self):
+        assert len(minimal_primes(Partition((4, 4, 1)))) == 126
+        assert len(minimal_primes(Partition((5, 3, 1)))) == 210
+
 
 class TestHeightPurity:
     def test_examples(self):
