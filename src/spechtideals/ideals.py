@@ -654,6 +654,8 @@ class QuotientRing:
 
 def socle(ideal: Ideal, d: int) -> GradedBasis:
     """Basis of {y in (R/I)_d : x_i y = 0 in (R/I)_{d+1} for all i}."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     q = QuotientRing(ideal)
     src = q.basis_columns(d)
     tgt_dim = q.quotient_dim(d + 1)
@@ -687,6 +689,8 @@ def mult_injective(form: Polynomial, ideal: Ideal, d: int) -> MultMapReport:
     """Injectivity of multiplication by a linear form (R/I)_d -> (R/I)_{d+1}."""
     if form.homogeneous_degree() != 1:
         raise ValueError("multiplier must be a homogeneous linear form")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     q = QuotientRing(ideal)
     src = q.basis_columns(d)
     fld = ideal.field

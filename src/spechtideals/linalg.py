@@ -1,8 +1,9 @@
 """Exact graded linear algebra: reduced echelon forms, ranks, kernels.
 
 This is the package's one linear-algebra core: the exact eliminations of
-``ideals`` and ``betti`` all run on :class:`Echelon`, and their sparse-row
-updates on :func:`add_scaled`.
+``ideals`` and ``betti`` all run on :class:`Echelon`, and every sparse-row
+update, elimination in :class:`Echelon` included, goes through
+:func:`add_scaled`.
 
 Rows are sparse ``{column: coefficient}`` dicts.  Over GF(p) the engine
 does ordinary monic elimination; over the rationals it is fraction-free
@@ -42,6 +43,18 @@ def add_scaled(row: dict, c, src: dict, p: int, offset: int = 0) -> None:
             row.pop(k, None)
 
 
+def _strip_content(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
 class Echelon:
     """Incremental reduced row echelon form over an exact field.
 
@@ -74,55 +87,22 @@ class Echelon:
     def _eliminate(self, row: dict, c: int) -> None:
         """Remove column c from row using the stored pivot row, in place."""
         prow = self.rows[c]
-        p = self.p
-        if p == 0:
-            a = row.pop(c)
-            b = prow[c]
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            if b != 1:
-                for k in row:
-                    row[k] *= b
-            for k, v in prow.items():
-                if k == c:
-                    continue
-                nv = row.get(k, 0) - a * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            if row:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for k in row:
-                        row[k] //= g
-        else:
-            a = row.pop(c)
-            for k, v in prow.items():
-                if k == c:
-                    continue
-                nv = (row.get(k, 0) - a * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+        a = row[c]
+        if self.p:  # stored pivots are 1 over GF(p)
+            add_scaled(row, -a, prow, self.p)
+            return
+        g = gcd(a, prow[c])
+        b = prow[c] // g
+        if b != 1:
+            for k in row:
+                row[k] *= b
+        add_scaled(row, -(a // g), prow, 0)  # the pivot entry cancels
+        _strip_content(row)
 
     def _normalize(self, row: dict, pivot: int) -> None:
         p = self.p
         if p == 0:
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                for k in row:
-                    row[k] //= g
+            _strip_content(row)
             if row[pivot] < 0:
                 for k in row:
                     row[k] = -row[k]
@@ -138,12 +118,12 @@ class Echelon:
         if p == 0:
             lcm = 1
             for v in row.values():
-                if isinstance(v, Fraction):
+                if type(v) is Fraction:  # isinstance goes through the numbers ABCs
                     d = v.denominator
                     lcm = lcm * d // gcd(lcm, d)
             out = {}
             for k, v in row.items():
-                iv = int(v * lcm) if lcm != 1 or isinstance(v, Fraction) else v
+                iv = int(v * lcm) if lcm != 1 or type(v) is Fraction else v
                 if iv:
                     out[k] = iv
             return out
@@ -176,24 +156,20 @@ class Echelon:
             self.kernel_rows.append(r)
             return None
         self._normalize(r, pivot)
-        affected = self.touch.get(pivot)
-        if affected:
-            self.rows[pivot] = r  # register first so _eliminate sees it
-            for qpiv in list(affected):
-                q = self.rows[qpiv]
-                old = set(q)
+        self.rows[pivot] = r  # register first so _eliminate sees it
+        # touch[k] lists at least the rows holding column k; entries that
+        # cancelled since they were filed stay behind and are skipped here.
+        touch = self.touch
+        affected = touch.pop(pivot, ())
+        filed = [touch.setdefault(k, set()) for k in r if k != pivot]
+        for s in filed:
+            s.add(pivot)
+        for qpiv in affected:
+            q = self.rows[qpiv]
+            if pivot in q:
                 self._eliminate(q, pivot)
-                new = set(q)
-                for k in old - new:
-                    s = self.touch.get(k)
-                    if s:
-                        s.discard(qpiv)
-                for k in new - old:
-                    self.touch.setdefault(k, set()).add(qpiv)
-        else:
-            self.rows[pivot] = r
-        for k in r:
-            self.touch.setdefault(k, set()).add(pivot)
+                for s in filed:
+                    s.add(qpiv)
         return pivot
 
     def monic_rows(self) -> dict[int, dict]:
@@ -217,18 +193,9 @@ class Echelon:
             return self.reduce(row)
         r = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in row.items() if v}
         for c in sorted(k for k in r if k in self.rows):
-            if c not in r:
-                continue
-            prow = self.rows[c]
-            factor = r.pop(c) / prow[c]
-            for k, v in prow.items():
-                if k == c:
-                    continue
-                nv = r.get(k, 0) - factor * v
-                if nv:
-                    r[k] = nv
-                else:
-                    r.pop(k, None)
+            if c in r:
+                prow = self.rows[c]
+                add_scaled(r, -r[c] / prow[c], prow, 0)
         return r
 
 

@@ -106,6 +106,27 @@ class TestCommands:
         assert verdict(payload, "minimal_generators_I_2n_n1") == 14
         assert payload["tables"]["intersection_dims"][:4] == [0, 0, 0, 0]
 
+    def test_catalan_without_inclusion_takes_the_exact_rank(self, monkeypatch):
+        # the Specht dimensions bound I_{2n,n+1} from below only when the
+        # Specht generators lie in it; with that check failing, every
+        # degree takes the exact rational rank and no probe prime runs
+        from spechtideals.fields import QQ
+        from spechtideals.ideals import IntersectionInk
+
+        expected, _ = run_json(["catalan", "--n", "3"])
+        seen = []
+        orig = IntersectionInk._collapse_rank
+
+        def spy(self, d, fld):
+            seen.append(fld)
+            return orig(self, d, fld)
+
+        monkeypatch.setattr(IntersectionInk, "contains", lambda self, p: False)
+        monkeypatch.setattr(IntersectionInk, "_collapse_rank", spy)
+        payload, code = run_json(["catalan", "--n", "3"])
+        assert code == 0 and payload == expected
+        assert seen == [QQ] * 4
+
     def test_straighten(self):
         payload, code = run_json(
             ["straighten", "--tableau", "1,4,2/5,3", "--prefix", "1"]
@@ -267,6 +288,8 @@ class TestRefusedInput:
             # a negative degree bound compares no degree
             ["radical-check", "--shape", "2,2", "--max-deg", "-1"],
             ["straighten", "--tableau", "1,2,3/4,5", "--prefix", "-1"],
+            # the quotient has no component in a negative degree
+            ["socle-probe", "--shape", "2,2", "--deg", "-1"],
         ],
     )
     def test_exit_two_without_traceback(self, argv):
@@ -282,6 +305,8 @@ class TestRefusedInput:
         assert code == 0
         _, code = run_json(["straighten", "--tableau", "1,4,2/5,3", "--prefix", "0"])
         assert code == 0
+        payload, code = run_json(["socle-probe", "--shape", "2,2", "--deg", "0"])
+        assert code == 0 and verdict(payload, "socle_dimension") == 0
 
 
 class TestClosedPipe:

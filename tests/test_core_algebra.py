@@ -194,14 +194,33 @@ def dense_rref(rows, ncols, fld):
     return rank, out
 
 
+def check_against_oracle(rows, ncols, probes=()):
+    """Echelon's rank, monic rows and span membership against dense_rref."""
+    from spechtideals.linalg import Echelon
+
+    for fld in (QQ, field_of(5)):
+        ech = Echelon(fld)
+        for row in rows:
+            ech.insert(dict(row))
+        rank, oracle = dense_rref(rows, ncols, fld)
+        assert ech.rank == rank
+        got = ech.monic_rows()
+        normalized = {
+            piv: {c: fld.of(v) for c, v in row.items()}
+            for piv, row in got.items()
+        }
+        assert normalized == oracle
+        for probe in probes:
+            in_span = dense_rref(rows + [probe], ncols, fld)[0] == rank
+            assert ech.contains(dict(probe)) == in_span
+
+
 class TestEchelonDifferential:
     """The incremental engine against the dense oracle, both fields."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_matches_dense_rref(self, data):
-        from spechtideals.linalg import Echelon
-
         ncols = data.draw(st.integers(1, 6))
         nrows = data.draw(st.integers(1, 8))
         rows = []
@@ -212,18 +231,38 @@ class TestEchelonDifferential:
                 if v:
                     row[c] = v
             rows.append(row)
+        check_against_oracle(rows, ncols)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_wide_sparse_draws(self, data):
+        ncols = data.draw(st.integers(1, 12))
+        sparse_row = st.dictionaries(
+            st.integers(0, ncols - 1), st.integers(-4, 4).filter(bool), max_size=4
+        )
+        rows = data.draw(st.lists(sparse_row, min_size=1, max_size=16))
+        # a combination of the rows lies in their span; a drawn row may not
+        combo: dict = {}
+        for row in rows[:3]:
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + 2 * v
+        combo = {c: v for c, v in combo.items() if v}
+        check_against_oracle(rows, ncols, probes=[combo, data.draw(sparse_row)])
+
+    def test_stale_index_entry(self):
+        from spechtideals.linalg import Echelon
+
+        # row 0 is filed under column 3; the pivot-2 row cancels that entry
+        # from it, and column 3 then becomes a pivot with the entry gone
+        rows = [{0: 1, 2: 1, 3: 1}, {2: 1, 3: 1}, {3: 2, 4: 1}]
         for fld in (QQ, field_of(5)):
             ech = Echelon(fld)
-            for row in rows:
+            for row in rows[:2]:
                 ech.insert(dict(row))
-            rank, oracle = dense_rref(rows, ncols, fld)
-            assert ech.rank == rank
-            got = ech.monic_rows()
-            normalized = {
-                piv: {c: fld.of(v) for c, v in row.items()}
-                for piv, row in got.items()
-            }
-            assert normalized == oracle
+            assert 3 not in ech.rows[0] and 0 in ech.touch[3]
+            ech.insert(dict(rows[2]))
+            assert 3 not in ech.rows[0]
+        check_against_oracle(rows, 5, probes=[{0: 1, 4: 1}, {2: 2, 4: -1}])
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
