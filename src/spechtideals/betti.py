@@ -7,28 +7,58 @@ element on R/I and the computation drops to the specialization in one
 fewer variable with the same Betti table; the reduction repeats while it
 applies, which keeps the worked fixtures small.
 
-Characteristic zero is computed over the two large primes of
+In characteristic 0, ``cm_verdict`` first tries a certified Artinian
+reduction (Serre's multiplicity criterion, Bruns-Herzog 4.7), in
+``artinian_reduction``.  The translation step sends x_n to 0, and
+d = n - 1 - lambda_1 linear forms in the first lambda_1 variables, with
+coefficients drawn from all of GF(p) by a fixed generator, replace the
+remaining d.  The forms are a system of parameters exactly when the ring
+map is injective on every component V_pi of the vanishing locus, which one
+small rank per minimal prime decides.  The length L of the Artinian
+quotient is then at least e(V), the number of minimal primes of height
+lambda_1, and L = e(V) proves R/I Cohen-Macaulay: the forms are then a
+regular sequence, so the Artinian quotient has the same Betti table,
+finite and complete.  L is computed over GF(p) for integer forms; a GF(p)
+dimension bounds the rational one from above, so L_p = e(V) proves CM in
+characteristic 0 as well.  When d = 0 the translation step alone leaves an
+Artinian quotient and e(V) is not needed.  A certified quotient has length
+e(V), so its Koszul complex has e(V) 2^lambda_1 basis elements; past the
+column cap the attempt is skipped before any Hilbert function.  Otherwise
+(L > e(V), n > 9, a positive characteristic, an explicit degree bound, or
+a skipped attempt) the Koszul table up to a degree bound is used, and its
+certificate is ``heuristic``: the strands only look closed.
+
+Characteristic 0 tables are computed over the two large primes of
 ``fields.PROXY_PRIMES``, whose tables must agree (a disagreement raises,
 never resolves silently); an exact-rational run is available behind a flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import random
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .fields import PROXY_PRIMES, Field, QQ, field_of
 from .ideals import GeneratedIdeal, Ideal, QuotientRing, specht_ideal
-from .linalg import Echelon, add_scaled
-from .specht import specht_poly_degree
-from .tableaux import Partition
-from .varieties import ResourceLimitError
+from .linalg import Echelon, add_scaled, rank_dense_mod_p, rank_sparse
+from .poly import Polynomial
+from .specht import column_pairs, specht_poly_degree
+from .tableaux import Partition, enumerate_standard_tableaux
+from .varieties import ResourceLimitError, SetPartition, minimal_primes
 
 _DEFAULT_COLUMN_CAP = 20_000
+_SOP_DRAWS = 3  # draws of linear forms tried before the Koszul path
 
 
-class ProxyDisagreement(RuntimeError):
+class SelfCheckError(RuntimeError):
+    """An internal consistency check failed: a bug, never a finding."""
+
+
+class ProxyDisagreement(SelfCheckError):
     """The two large-prime proxies produced different Betti tables."""
 
 
@@ -121,7 +151,15 @@ def koszul_betti(
     work = _reduce_while_invariant(ideal)
     m = work.nvars
     q = QuotientRing(work)
-    qdim = [q.quotient_dim(t) for t in range(j_max + 1)]
+    qdim: list[int] = []
+    for t in range(j_max + 1):  # (R/I)_t = 0 kills every higher degree
+        qdim.append(q.quotient_dim(t) if not qdim or qdim[-1] else 0)
+
+    # an Artinian quotient (the Artinian reduction, or an (n-1, 1) hook)
+    # has small Koszul matrices with dense rows: over GF(p) a dense rank
+    # takes them several times faster than sparse elimination
+    p = work.field.characteristic
+    dense = p > 0 and qdim[-1] == 0
 
     def chain_dim(i: int, j: int) -> int:
         t = j - i
@@ -130,7 +168,7 @@ def koszul_betti(
         return comb(m, i) * qdim[t]
 
     subsets = {i: list(combinations(range(m), i)) for i in range(m + 1)}
-    subset_pos = {i: {s: p for p, s in enumerate(subsets[i])} for i in range(m + 1)}
+    subset_pos = {i: {s: k for k, s in enumerate(subsets[i])} for i in range(m + 1)}
 
     ranks: dict[tuple[int, int], int] = {}
     for j in range(j_max + 1):
@@ -147,8 +185,12 @@ def koszul_betti(
                 )
             t = j - i
             tgt_block = qdim[t + 1]
-            ech = Echelon(work.field)
+            if dense:
+                mat = np.zeros((rows_dim, cols_dim), dtype=np.int64)
+            else:
+                ech = Echelon(work.field)
             maps = [q.mult_map(s, t) for s in range(m)]
+            r = 0
             for S in subsets[i]:
                 smaller = [
                     (-1 if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
@@ -157,9 +199,13 @@ def koszul_betti(
                 for src in range(qdim[t]):
                     row: dict = {}
                     for sign, s_idx, s in smaller:
-                        add_scaled(row, sign, maps[s][src], ech.p, s_idx * tgt_block)
-                    ech.insert(row)
-            ranks[(i, j)] = ech.rank
+                        add_scaled(row, sign, maps[s][src], p, s_idx * tgt_block)
+                    if dense:
+                        mat[r, list(row)] = list(row.values())
+                        r += 1
+                    else:
+                        ech.insert(row)
+            ranks[(i, j)] = rank_dense_mod_p(mat, p) if dense else ech.rank
 
     entries: dict[tuple[int, int], int] = {}
     for j in range(j_max + 1):
@@ -182,6 +228,35 @@ def koszul_betti(
     )
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """How a CM verdict was established, as the report shows it.
+
+    ``artinian-length``: the Artinian reduction proved CM and the table is
+    complete.  ``heuristic``: the table is a Koszul table up to ``j_max``
+    whose strands look closed; ``length`` and ``multiplicity`` then record
+    an Artinian attempt that did not certify, if one ran.
+    """
+
+    kind: str
+    provenance: str  # the module.function that produced the table
+    fields: tuple[str, ...]
+    j_max: int
+    length: int | None = None  # L of the Artinian quotient over the first field
+    multiplicity: int | None = None  # e(V); None when no forms were needed
+    h_vector: tuple[int, ...] | None = None
+
+    def to_jsonable(self) -> dict:
+        return {
+            "kind": self.kind,
+            "fields": list(self.fields),
+            "j_max": self.j_max,
+            "length": self.length,
+            "e_V": self.multiplicity,
+            "h_vector": None if self.h_vector is None else list(self.h_vector),
+        }
+
+
 @dataclass
 class CmVerdict:
     """Projective dimension, depth, dimension, and CM/Gorenstein flags."""
@@ -194,8 +269,142 @@ class CmVerdict:
     is_cm: bool
     is_gorenstein: bool
     table: BettiTable
+    certificate: Certificate
     proxy_primes: tuple[int, ...] = ()
     trace: list[str] = dc_field(default_factory=list)
+
+
+def is_system_of_parameters(
+    images: list[list[int]], primes: list[SetPartition], fld: Field
+) -> bool:
+    """Whether the ring map x_a -> images[a-1] leaves only the origin of
+    the vanishing locus, i.e. its linear forms are a system of parameters.
+
+    images[a-1] is the coefficient vector of the linear form x_a maps to.
+    The preimage of the component V_pi is cut out by the differences
+    images[a-1] - images[b-1] over the letters a, b of one block, so it is
+    the origin exactly when those rows have full rank.
+    """
+    nfree = len(images[0])
+    for pi in primes:
+        rows = []
+        for block in pi.blocks:
+            base = images[block[0] - 1]
+            for a in block[1:]:
+                rows.append({
+                    i: c - b for i, (c, b) in enumerate(zip(images[a - 1], base)) if c != b
+                })
+        if rank_sparse(rows, fld) < nfree:
+            return False
+    return True
+
+
+def artinian_ideal(shape: Partition, images: list[list[int]], fld: Field) -> GeneratedIdeal:
+    """The image of I^Sp under x_a -> images[a-1] (a linear form in
+    len(images[0]) variables): per standard tableau, the product over its
+    column pairs (a, b) of the image of x_a - x_b."""
+    k = len(images[0])
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    linear = [Polynomial(k, fld, dict(zip(units, img))) for img in images]
+    gens = []
+    for t in enumerate_standard_tableaux(shape):
+        f = Polynomial.constant(k, 1, fld)
+        for a, b in column_pairs(t):
+            f = f * (linear[a - 1] - linear[b - 1])
+        gens.append(f)
+    return GeneratedIdeal(k, fld, gens)
+
+
+def _h_vector(ideal: GeneratedIdeal, top: int) -> list[int]:
+    """Hilbert function of an Artinian quotient up to its last nonzero value.
+
+    ``top`` bounds the socle degree (over an infinite extension field, an
+    Artinian ideal generated in degree D in k variables contains a regular
+    sequence of k degree-D forms, so its quotient vanishes beyond
+    k(D - 1)); a nonzero value past it is an internal inconsistency.
+    """
+    h = [ideal.quotient_dim(0)]
+    while h[-1]:
+        if len(h) > top + 1:
+            raise SelfCheckError(
+                f"Hilbert function of a system-of-parameters quotient is "
+                f"nonzero in degree {len(h) - 1} > {top}"
+            )
+        h.append(ideal.quotient_dim(len(h)))
+    return h[:-1]
+
+
+def artinian_reduction(
+    shape: Partition, fields: list[Field], trace: list[str] | None = None
+) -> tuple[list[BettiTable] | None, dict]:
+    """The Artinian reduction of R/I^Sp over each field (module docstring).
+
+    Returns the complete Betti table over each field when L = e(V) (or no
+    forms were needed), else None; and the values measured over the first
+    field (length, multiplicity, h_vector) for the certificate.  The first
+    field settles L = e(V) before any other field is tried, so a shape
+    that is not CM costs its minimal primes and one Hilbert function.
+    """
+    trace = [] if trace is None else trace
+    n, lam1 = shape.n, shape.parts[0]
+    # x_n -> 0 is the translation step: the generators are polynomials in
+    # the differences x_i - x_n, so x_n is regular on R/I over every field
+    d = n - 1 - lam1
+    units = [[int(i == a) for i in range(lam1)] for a in range(lam1)]
+    origin = [[0] * lam1]
+    measured: dict = {}
+    primes: list[SetPartition] = []
+    if d == 0:
+        images = units + origin
+    else:
+        try:
+            primes = minimal_primes(shape)
+        except ResourceLimitError as exc:
+            trace.append(f"no Artinian reduction: {exc}")
+            return None, measured
+        measured["multiplicity"] = e_v = sum(1 for pi in primes if pi.height == lam1)
+        if e_v << lam1 > _DEFAULT_COLUMN_CAP:
+            # a certified quotient has length e(V), so its Koszul complex
+            # has e(V) 2^lambda_1 basis elements: past the column cap the
+            # attempt costs more than the Koszul path's refusal, (5,1,1,1)
+            # 23 s for the Hilbert function alone against a 6 s refusal
+            trace.append(
+                f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
+            )
+            return None, measured
+        rng = random.Random(0)  # a fixed draw keeps the report reproducible
+        for _ in range(_SOP_DRAWS):
+            forms = [[rng.randrange(PROXY_PRIMES[0]) for _ in range(lam1)] for _ in range(d)]
+            images = units + forms + origin
+            # full rank over GF(p) gives full rank over QQ: integer forms
+            # that pass here are a system of parameters in characteristic 0
+            if is_system_of_parameters(images, primes, fields[0]):
+                break
+            trace.append("drawn forms are not a system of parameters")
+        else:
+            return None, measured
+    top = lam1 * (specht_poly_degree(shape) - 1)
+    quotients = []
+    for fld in fields:
+        if quotients and primes and not is_system_of_parameters(images, primes, fld):
+            trace.append(f"drawn forms are not a system of parameters over {fld}")
+            return None, measured
+        art = artinian_ideal(shape, images, fld)
+        h = _h_vector(art, top)
+        if not quotients:
+            measured.update(length=sum(h), h_vector=tuple(h))
+        e_v = measured.get("multiplicity")
+        if e_v is not None and sum(h) != e_v:
+            if sum(h) < e_v:  # L >= e(R/I) >= e(V) always
+                raise SelfCheckError(
+                    f"length {sum(h)} below e(V) = {e_v} for {shape} over {fld}"
+                )
+            trace.append(f"length {sum(h)} over {fld} exceeds e(V) = {e_v}")
+            return None, measured
+        quotients.append((art, len(h)))
+    # every entry sits at j <= socle degree + lam1, below len(h) + lam1
+    tables = [replace(koszul_betti(art, top_j + lam1), n=n) for art, top_j in quotients]
+    return tables, measured
 
 
 def default_j_max(shape: Partition) -> int:
@@ -228,9 +437,11 @@ def cm_verdict(
 
     depth is defined as n - pd (graded Auslander-Buchsbaum); dim R/I is
     n - lambda_1 (the height theorem); CM is their equality; Gorenstein is
-    CM with final total Betti number 1.  Characteristic 0 runs over two
-    large primes that must agree; set ``exact_rational`` to also run the
-    fraction-free rational computation and compare.
+    CM with final total Betti number 1.  Characteristic 0 without a degree
+    bound first tries ``artinian_reduction``; otherwise, and whenever it
+    does not certify, the table is the Koszul table up to ``j_max``.
+    Characteristic 0 runs over two large primes that must agree; set
+    ``exact_rational`` to also run over the rationals and compare.
     """
     if shape.is_trivial:
         raise ValueError("the trivial shape is excluded")
@@ -252,28 +463,39 @@ def cm_verdict(
         )
 
     if characteristic == 0:
-        tables = [table_over(field_of(p)) for p in PROXY_PRIMES]
-        if tables[0].entries != tables[1].entries:
+        fields = [field_of(p) for p in PROXY_PRIMES] + ([QQ] if exact_rational else [])
+    else:
+        fields = [field_of(characteristic)]
+    tables, measured = None, {}
+    if characteristic == 0 and j_max is None:
+        tables, measured = artinian_reduction(shape, fields, trace)
+    if tables is not None:
+        kind, provenance = "artinian-length", f"betti.artinian_reduction({shape})"
+    else:
+        tables = [table_over(fld) for fld in fields]
+        kind, provenance = "heuristic", f"betti.koszul_betti(I^Sp_{shape}, j_max={tables[0].j_max})"
+    table = tables[0]
+    if characteristic == 0:
+        if tables[1].entries != table.entries:
             raise ProxyDisagreement(
                 f"proxy primes {PROXY_PRIMES} disagree for {shape}: "
-                f"{tables[0].entries} vs {tables[1].entries}"
+                f"{table.entries} vs {tables[1].entries}"
             )
         if exact_rational:
-            exact = table_over(QQ)
-            if exact.entries != tables[0].entries:
+            if tables[2].entries != table.entries:
                 raise ProxyDisagreement(
                     f"rational table disagrees with proxies for {shape}"
                 )
             trace.append("exact rational table agrees with both proxies")
-        table = tables[0]
         proxy = PROXY_PRIMES
     else:
-        table = table_over(field_of(characteristic))
         proxy = ()
 
     pd = table.pd
     depth = n - pd
     dim = n - shape.parts[0]
+    if kind == "artinian-length" and pd != shape.parts[0]:
+        raise SelfCheckError(f"certified CM table of {shape} has pd {pd} != lambda_1")
     is_cm = depth == dim
     totals = table.totals()
     is_gorenstein = is_cm and totals[-1] == 1
@@ -286,6 +508,9 @@ def cm_verdict(
         is_cm=is_cm,
         is_gorenstein=is_gorenstein,
         table=table,
+        certificate=Certificate(
+            kind, provenance, tuple(map(repr, fields)), table.j_max, **measured
+        ),
         proxy_primes=proxy,
         trace=trace,
     )

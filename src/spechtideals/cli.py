@@ -1,11 +1,13 @@
 """Command-line frontend: verdict commands with JSON/markdown/m2 reports.
 
 Exit codes: 0 verdict-true or success, 1 verdict-false (a finding, not an
-error), 2 usage error, 3 resource cap.  A reader that closes the pipe early
-(``specht gens ... | head``) does not change the code: the command's own
-exit code is returned and no traceback is printed.  Reports are
-deterministic for a fixed configuration and seed: ``timing_ms`` stays null
-unless --timing is given, so byte-identical reruns are the default.
+error), 2 usage error, 3 resource cap, 4 internal error (a failed
+self-check such as disagreeing proxy primes; never a finding).  A reader
+that closes the pipe early (``specht gens ... | head``) does not change
+the code: the command's own exit code is returned and no traceback is
+printed.  Reports are deterministic for a fixed configuration and seed:
+``timing_ms`` stays null unless --timing is given, so byte-identical
+reruns are the default.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import comb
 
 from . import __version__
 from .fields import PROXY_PRIMES, field_of
-from .betti import cm_verdict, koszul_betti, resolve_j_max
+from .betti import SelfCheckError, cm_verdict, koszul_betti, resolve_j_max
 from .ideals import (
     IntersectionInk,
     SquarefreeDegreeIdeal,
@@ -334,6 +336,9 @@ def _cmd_cm_check(args, report: Report) -> int:
     report.add("dim", verdict.dim, provenance)
     report.add("is_cm", verdict.is_cm, provenance)
     report.add("is_gorenstein", verdict.is_gorenstein, provenance)
+    cert = verdict.certificate
+    report.add("certificate", cert.kind, cert.provenance)
+    report.tables["certificate"] = cert.to_jsonable()
     report.tables["betti"] = verdict.table.to_jsonable()
     report.tables["betti_diagram"] = verdict.table.m2_lines()
     return 0 if verdict.is_cm else 1
@@ -452,6 +457,8 @@ def _cmd_socle_probe(args, report: Report) -> int:
 
 def _cmd_experiment(args, report: Report) -> int:
     n_max = args.n_max
+    if n_max < 4:
+        raise ValueError(f"--n-max must be at least 4, the smallest n of the grid, got {n_max}")
     primes = []
     for tok in str(args.primes).split(","):
         tok = tok.strip()
@@ -571,6 +578,12 @@ def run(argv) -> tuple[Report | None, int]:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
+    except (SelfCheckError, AssertionError) as exc:
+        # a failed self-check (ProxyDisagreement included) is no finding:
+        # drop whatever the command had reported before it
+        report.verdicts, report.tables = [], {}
+        report.add("internal_error", f"{type(exc).__name__}: {exc}", "internal self-check")
+        return report, 4
     if args.timing:
         report.timing_ms = int((time.monotonic() - start) * 1000)
     return report, code

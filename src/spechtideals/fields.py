@@ -71,6 +71,8 @@ class Field:
     def of(self, value):
         """Coerce an int or Fraction into this field."""
         p = self.characteristic
+        if type(value) is int:  # the common case; isinstance goes through the numbers ABCs
+            return value % p if p else value
         if p == 0:
             return value if isinstance(value, (int, Fraction)) else Fraction(value)
         if isinstance(value, Fraction):

@@ -14,7 +14,9 @@ structurally at use:
 * if every generator is translation invariant (a polynomial in the
   differences x_i - x_n), then x_n is a regular element on R/I, so quotient
   dimensions satisfy dim (R/I)_d = sum_{e<=d} dim (S/phi(I))_e for the
-  specialization phi: x_n -> 0, and the chain recurses;
+  specialization phi: x_n -> 0, and the chain recurses.  Invariance is
+  read off sum_i dg/dx_i = 0 when the characteristic is 0 or exceeds the
+  generator degrees, and off the expansion of g(x_i + x_n) otherwise;
 * for I_{n,k} over the rationals, a mod-p collapse rank over the first of
   the ``fields.PROXY_PRIMES`` gives a certified upper bound on
   dim (I_{n,k})_d which, when it meets a lower bound coming from an
@@ -196,21 +198,45 @@ class GeneratedIdeal(Ideal):
         if not self.gens or self.nvars <= 1:
             self._reduction = False
             return None
-        last = self.nvars - 1
-        xlast = Polynomial.variable(self.nvars, last, self.field)
-        shift = {
-            i: Polynomial.variable(self.nvars, i, self.field) + xlast
-            for i in range(last)
-        }
-        for g in self.gens:
-            if last in g.substitute(shift).variables():
-                self._reduction = False
-                return None
+        p = self.field.characteristic
+        if 0 < p <= max(self._by_degree):
+            # an exponent can reach p, where the derivative test is blind:
+            # expand g(x_1 + x_n, ..., x_{n-1} + x_n, x_n) and look for x_n
+            last = self.nvars - 1
+            xlast = Polynomial.variable(self.nvars, last, self.field)
+            shift = {
+                i: Polynomial.variable(self.nvars, i, self.field) + xlast
+                for i in range(last)
+            }
+            invariant = all(last not in g.substitute(shift).variables() for g in self.gens)
+        else:
+            invariant = all(_partials_sum_to_zero(g) for g in self.gens)
+        if not invariant:
+            self._reduction = False
+            return None
         self._reduction = specialize_xn(self)
         return self._reduction
 
     def translation_invariant(self) -> bool:
         return self._translation_reduction() is not None
+
+
+def _partials_sum_to_zero(g: Polynomial) -> bool:
+    """Whether sum_i dg/dx_i vanishes.
+
+    In the coordinates y_i = x_i - x_n (i < n), y_n = x_n this sum is
+    dg/dy_n.  When the characteristic is 0 or above the degree of g, no
+    exponent of y_n is a multiple of it, so the sum vanishes exactly when
+    g is a polynomial in the differences x_i - x_n.
+    """
+    p = g.field.characteristic
+    total: dict = {}
+    for m, c in g.terms.items():
+        for i, e in enumerate(m):
+            if e:
+                key = m[:i] + (e - 1,) + m[i + 1 :]
+                total[key] = total.get(key, 0) + e * c
+    return all((v % p if p else v) == 0 for v in total.values())
 
 
 def specialize_xn(ideal: GeneratedIdeal) -> GeneratedIdeal:

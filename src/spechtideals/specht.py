@@ -41,13 +41,17 @@ def difference_product(nvars: int, pairs, fld: Field = QQ) -> Polynomial:
     return out
 
 
+def column_pairs(t: Tableau) -> list[tuple[int, int]]:
+    """The letter pairs (a, b), a above b, within each column of t."""
+    return [pair for col in t.columns() for pair in combinations(col, 2)]
+
+
 def specht_poly(t: Tableau, fld: Field = QQ) -> Polynomial:
     """Product over columns of the difference product, in t.n variables.
 
     Single-box columns contribute the factor 1.
     """
-    pairs = [pair for col in t.columns() for pair in combinations(col, 2)]
-    return difference_product(t.n, pairs, fld)
+    return difference_product(t.n, column_pairs(t), fld)
 
 
 def specht_poly_degree(shape: Partition) -> int:

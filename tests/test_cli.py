@@ -6,10 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from spechtideals import betti, cli
+from spechtideals.betti import ProxyDisagreement, SelfCheckError
 from spechtideals.cli import _COMMANDS, run
 
 
@@ -97,6 +100,22 @@ class TestCommands:
         assert verdict(payload, "is_gorenstein") is True
         _, code = run_json(["cm-check", "--shape", "3,3", "--char", "2"])
         assert code == 1
+
+    def test_cm_check_names_its_certificate(self):
+        payload, code = run_json(["cm-check", "--shape", "3,3,1"])
+        assert code == 0
+        assert verdict(payload, "certificate") == "artinian-length"
+        assert payload["tables"]["certificate"] == {
+            "kind": "artinian-length",
+            "fields": ["GF(32003)", "GF(1000003)"],
+            "j_max": 8,
+            "length": 35,
+            "e_V": 35,
+            "h_vector": [1, 3, 6, 10, 15],
+        }
+        payload, code = run_json(["cm-check", "--shape", "3,3", "--char", "2"])
+        assert verdict(payload, "certificate") == "heuristic"
+        assert payload["tables"]["certificate"]["fields"] == ["GF(2)"]
 
     def test_catalan(self):
         payload, code = run_json(["catalan", "--n", "4"])
@@ -216,7 +235,7 @@ _PROVENANCE_RUNS = {
     "minimal-primes": [["minimal-primes", "--shape", "2,2"]],
     "purity": [["purity", "--shape", "2,2"]],
     "betti": [["betti", "--shape", "2,2"], ["betti", "--shape", "2,2", "--char", "2"]],
-    "cm-check": [["cm-check", "--shape", "2,2"]],
+    "cm-check": [["cm-check", "--shape", "2,2"], ["cm-check", "--shape", "2,2", "--char", "2"]],
     "catalan": [["catalan", "--n", "2"], ["catalan", "--n", "2", "--char", "2"]],
     "straighten": [["straighten", "--tableau", "1,4,2/5,3", "--prefix", "1"]],
     "condition-star": [["condition-star", "--shape", "2,2", "--blocks", "1,2|3,4"]],
@@ -290,6 +309,9 @@ class TestRefusedInput:
             ["straighten", "--tableau", "1,2,3/4,5", "--prefix", "-1"],
             # the quotient has no component in a negative degree
             ["socle-probe", "--shape", "2,2", "--deg", "-1"],
+            # the grid starts at n = 4: a smaller bound holds no cell
+            ["experiment", "--n-max", "0"],
+            ["experiment", "--n-max", "3", "--primes", "2"],
         ],
     )
     def test_exit_two_without_traceback(self, argv):
@@ -307,6 +329,56 @@ class TestRefusedInput:
         assert code == 0
         payload, code = run_json(["socle-probe", "--shape", "2,2", "--deg", "0"])
         assert code == 0 and verdict(payload, "socle_dimension") == 0
+        payload, code = run_json(["experiment", "--n-max", "4", "--primes", "2"])
+        assert code == 0 and verdict(payload, "cells_computed") == 1
+
+
+class TestInternalError:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ProxyDisagreement("proxy tables differ"),
+            AssertionError("negative Betti number"),
+            SelfCheckError("self-check failed"),
+        ],
+    )
+    def test_exit_four_not_a_finding(self, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "cm_verdict", broken)
+        payload, code = run_json(["cm-check", "--shape", "2,2"])
+        assert code == 4
+        assert [v["name"] for v in payload["verdicts"]] == ["internal_error"]
+        assert str(exc) in verdict(payload, "internal_error")
+        assert payload["tables"] == {}
+
+    def test_other_errors_are_not_self_checks(self, monkeypatch):
+        # a crash that is no self-check keeps its class and traceback
+        def broken(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cm_verdict", broken)
+        with pytest.raises(RecursionError):
+            run(["cm-check", "--shape", "2,2"])
+
+    def test_certified_table_with_wrong_pd(self, monkeypatch):
+        # a certified CM table must have pd = lambda_1 (Auslander-Buchsbaum)
+        real = betti.artinian_reduction
+
+        def skewed(*args, **kwargs):
+            tables, measured = real(*args, **kwargs)
+            return [replace(t, entries={**t.entries, (5, 9): 1}) for t in tables], measured
+
+        monkeypatch.setattr(betti, "artinian_reduction", skewed)
+        payload, code = run_json(["cm-check", "--shape", "2,2"])
+        assert code == 4
+        assert "pd 5 != lambda_1" in verdict(payload, "internal_error")
+
+    def test_frontier_in_a_process(self):
+        out = _cli_process(["cm-check", "--shape", "3,3,1", "--char", "0"], stdout=subprocess.PIPE)
+        assert out.returncode == 0 and out.stderr == ""
+        assert verdict(json.loads(out.stdout), "is_cm") is True
 
 
 class TestClosedPipe:

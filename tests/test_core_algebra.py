@@ -55,6 +55,27 @@ class TestFields:
         with pytest.raises(ZeroDivisionError):
             field_of(2).of(Fraction(1, 2))
 
+    @pytest.mark.parametrize("p", [0, 2, 5, 32003])
+    def test_of_coerces_every_input_kind(self, p):
+        # ints take a fast path ahead of the Fraction test; residues and
+        # types must be those of the general rule
+        fld = field_of(p)
+        for value in (0, 1, 7, -1, -32004, 10**20 + 3, True, False):
+            got = fld.of(value)
+            want = value if p == 0 else int(value) % p
+            assert got == want and type(got) is type(want), (p, value)
+        for value in (Fraction(3, 4), Fraction(-7, 3), Fraction(6, 3)):
+            if p and value.denominator % p == 0:
+                with pytest.raises(ZeroDivisionError):
+                    fld.of(value)
+                continue
+            got = fld.of(value)
+            if p == 0:
+                assert got == value
+            else:
+                assert got * value.denominator % p == value.numerator % p
+                assert 0 <= got < p and type(got) is int
+
 
 class TestSubstitute:
     def test_collapse_difference(self):

@@ -4,17 +4,21 @@ from math import comb
 
 import pytest
 
+from spechtideals import betti
 from spechtideals.betti import (
     PROXY_PRIMES,
+    artinian_ideal,
+    artinian_reduction,
     cm_verdict,
     default_j_max,
+    is_system_of_parameters,
     koszul_betti,
 )
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import GeneratedIdeal, QuotientRing, specht_ideal
 from spechtideals.poly import Polynomial
 from spechtideals.tableaux import Partition
-from spechtideals.varieties import ResourceLimitError
+from spechtideals.varieties import ResourceLimitError, minimal_primes
 
 F = field_of(32003)
 
@@ -134,6 +138,8 @@ class TestCmVerdict:
     def test_exact_rational_flag(self):
         v = cm_verdict(Partition((2, 2)), 0, exact_rational=True)
         assert v.is_cm and any("exact rational" in t for t in v.trace)
+        assert v.certificate.kind == "artinian-length"
+        assert v.certificate.fields == ("GF(32003)", "GF(1000003)", "QQ")
 
     def test_closed_off_reported(self):
         v = cm_verdict(Partition((3, 3)), 2)
@@ -172,3 +178,136 @@ class TestCmVerdict:
             v = cm_verdict(shape, 0)
             rep = height_and_purity(shape)
             assert v.dim == shape.n - rep.height
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _cm_in_char0(parts):
+    """The paper's classification: (a,1,...,1), (a,b) and (a,a,1)."""
+    return len(parts) > 1 and (
+        parts[1] == 1
+        or len(parts) == 2
+        or (len(parts) == 3 and parts[0] == parts[1] and parts[2] == 1)
+    )
+
+
+CM_CHAR0_UP_TO_6 = [p for n in range(2, 7) for p in _partitions(n) if _cm_in_char0(p)]
+# hooks with a long leg: their Koszul table takes 8-23 s, or exceeds the
+# column cap, so the Hilbert series checks them instead
+LONG_LEGS = [(3, 1, 1, 1), (1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]
+
+
+def _closed_koszul(shape):
+    """The Koszul table over GF(32003), its bound raised until it closes."""
+    j_max = default_j_max(shape)
+    while True:
+        table = koszul_betti(specht_ideal(shape, F), j_max)
+        if table.closed_off:
+            return table
+        j_max += 2
+
+
+class TestArtinianReduction:
+    @pytest.mark.parametrize(
+        "parts", [p for p in CM_CHAR0_UP_TO_6 if p not in LONG_LEGS]
+    )
+    def test_table_equals_the_koszul_table(self, parts):
+        shape = Partition(parts)
+        v = cm_verdict(shape, 0)
+        assert v.certificate.kind == "artinian-length"
+        assert v.is_cm and v.table.closed_off and v.pd == parts[0]
+        assert v.table.n == shape.n
+        assert v.table.entries == _closed_koszul(shape).entries
+
+    @pytest.mark.parametrize("parts", LONG_LEGS)
+    def test_table_gives_the_hilbert_series(self, parts):
+        # sum_i (-1)^i beta_{i,j} t^j / (1-t)^n is the Hilbert series of R/I
+        from spechtideals.ideals import hilbert_function, series_expand
+
+        shape = Partition(parts)
+        v = cm_verdict(shape, 0)
+        assert v.certificate.kind == "artinian-length"
+        assert v.is_cm and v.table.closed_off and v.pd == parts[0]
+        numerator: dict[int, int] = {}
+        for (i, j), beta in v.table.entries.items():
+            numerator[j] = numerator.get(j, 0) + (-1) ** i * beta
+        top = max(numerator) + 1
+        expected = series_expand([numerator.get(j, 0) for j in range(top + 1)], shape.n, top)
+        assert hilbert_function(specht_ideal(shape, F), top) == expected
+        if len(parts) == shape.n:  # one column: the principal Vandermonde ideal
+            assert v.table.entries == {(0, 0): 1, (1, comb(shape.n, 2)): 1}
+
+    def test_three_three_one_frontier(self):
+        v = cm_verdict(Partition((3, 3, 1)), 0)
+        cert = v.certificate
+        assert (cert.kind, cert.length, cert.multiplicity) == ("artinian-length", 35, 35)
+        assert cert.h_vector == (1, 3, 6, 10, 15)
+        assert v.table.entries == {(0, 0): 1, (1, 5): 21, (2, 6): 35, (3, 7): 15}
+        assert v.is_cm and not v.is_gorenstein
+
+    def test_two_row_strand_after_a_gap(self):
+        # (6,2): beta_{6,8} = 1 sits two degrees past beta_{5,6}, beyond
+        # the Koszul path's default bound, which reads pd 5 and non-CM
+        v = cm_verdict(Partition((6, 2)), 0)
+        assert v.certificate.kind == "artinian-length"
+        assert v.pd == 6 and v.is_cm and v.is_gorenstein
+        assert v.table.entry(6, 8) == 1
+
+    def test_non_cm_length_exceeds_multiplicity(self, monkeypatch):
+        # (3,2,1): L = 20 > e(V) = 15, so the forms are not a regular sequence
+        seen = []
+        real = betti.artinian_ideal
+
+        def spy(shape, images, fld):
+            seen.append(fld)
+            return real(shape, images, fld)
+
+        monkeypatch.setattr(betti, "artinian_ideal", spy)
+        fields = [field_of(p) for p in PROXY_PRIMES]
+        tables, measured = artinian_reduction(Partition((3, 2, 1)), fields)
+        assert tables is None
+        assert (measured["length"], measured["multiplicity"]) == (20, 15)
+        assert seen == fields[:1]  # the second prime is never tried
+
+    def test_large_koszul_complex_skipped(self):
+        # (5,1,1,1): e(V) 2^5 = 30912 basis elements exceed the column cap
+        trace = []
+        tables, measured = artinian_reduction(Partition((5, 1, 1, 1)), [F], trace)
+        assert tables is None and measured == {"multiplicity": 966}
+        assert "exceeds the column cap" in trace[-1]
+
+    def test_degenerate_draw_refused(self):
+        shape = Partition((3, 3))
+        primes = minimal_primes(shape)
+        units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        # x_4 -> x_1 keeps the line of every component joining 1 and 4
+        images = units + [[1, 0, 0], [2, 3, 5]] + [[0, 0, 0]]
+        assert not is_system_of_parameters(images, primes, F)
+        assert artinian_ideal(shape, images, F).quotient_dim(12) > 0
+
+    def test_refused_draws_fall_back_to_koszul(self, monkeypatch):
+        monkeypatch.setattr(betti, "is_system_of_parameters", lambda *args: False)
+        v = cm_verdict(Partition((2, 2)), 0)
+        assert v.certificate.kind == "heuristic"
+        assert v.certificate.length is None and v.certificate.multiplicity == 4
+        assert sum("not a system of parameters" in t for t in v.trace) == betti._SOP_DRAWS
+        assert v.is_cm and v.table.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+
+    def test_no_forms_needed_for_hooks_with_one_leg(self):
+        # (a,1): the translation sequence alone leaves the residue field
+        v = cm_verdict(Partition((4, 1)), 0)
+        cert = v.certificate
+        assert (cert.kind, cert.multiplicity, cert.length) == ("artinian-length", None, 1)
+        assert v.table.entries == {(i, i): comb(4, i) for i in range(5)}
+
+    def test_degree_bound_keeps_the_koszul_path(self):
+        v = cm_verdict(Partition((3, 3)), 0, j_max=8)
+        assert v.certificate.kind == "heuristic" and v.table.j_max == 8
+        assert v.certificate.length is None

@@ -1,5 +1,7 @@
 """Ideal components, Hilbert functions, equality, specialization, socle."""
 
+import random
+
 import pytest
 
 from spechtideals import ideals
@@ -172,6 +174,38 @@ class TestHilbert:
         assert specht_ideal(Partition((2, 2))).translation_invariant()
         gens = [x(1, 3) * x(2, 3)]
         assert not GeneratedIdeal(3, QQ, gens).translation_invariant()
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 32003])
+    def test_invariance_tests_agree(self, p):
+        # the sum of partials (characteristic 0 or above the degree) and the
+        # expansion of g(x_i + x_n) (small characteristic) decide alike
+        fld = field_of(p)
+        rng = random.Random(p)
+        n = 3
+        diffs = [x(i, n, fld) - x(n, n, fld) for i in range(1, n)]
+        for _ in range(40):
+            deg = rng.randint(1, 4)
+            g = Polynomial.zero(n, fld)
+            for _ in range(rng.randint(1, 3)):
+                term = Polynomial.constant(n, rng.randint(1, 6), fld)
+                for _ in range(deg):
+                    term = term * rng.choice(diffs)
+                g = g + term
+            if rng.random() < 0.5:  # spoil invariance with a power of x_n
+                g = g + x(n, n, fld) ** deg
+            if g.is_zero():
+                continue
+            xn = x(n, n, fld)
+            shift = {i: x(i + 1, n, fld) + xn for i in range(n - 1)}
+            want = n - 1 not in g.substitute(shift).variables()
+            assert GeneratedIdeal(n, fld, [g]).translation_invariant() == want, (p, g)
+
+    def test_frobenius_power_is_not_invariant(self):
+        # over GF(2) the partials of x_2^2 sum to 0, yet x_2^2 is no
+        # polynomial in x_1 - x_2; (x_1 - x_2)^2 = x_1^2 + x_2^2 is
+        f2 = field_of(2)
+        assert not GeneratedIdeal(2, f2, [x(2, 2, f2) ** 2]).translation_invariant()
+        assert GeneratedIdeal(2, f2, [x(1, 2, f2) ** 2 + x(2, 2, f2) ** 2]).translation_invariant()
 
 
 class TestEquality:
