@@ -48,14 +48,10 @@ from .linalg import Echelon, add_scaled, rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
 from .tableaux import Partition, enumerate_standard_tableaux
-from .varieties import ResourceLimitError, SetPartition, minimal_primes
+from .varieties import ResourceLimitError, SelfCheckError, SetPartition, minimal_primes
 
 _DEFAULT_COLUMN_CAP = 20_000
 _SOP_DRAWS = 3  # draws of linear forms tried before the Koszul path
-
-
-class SelfCheckError(RuntimeError):
-    """An internal consistency check failed: a bug, never a finding."""
 
 
 class ProxyDisagreement(SelfCheckError):

@@ -13,6 +13,7 @@ reruns are the default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from math import comb
 
 from . import __version__
 from .fields import PROXY_PRIMES, field_of
-from .betti import SelfCheckError, cm_verdict, koszul_betti, resolve_j_max
+from .betti import cm_verdict, koszul_betti, resolve_j_max
 from .ideals import (
     IntersectionInk,
     SquarefreeDegreeIdeal,
@@ -45,6 +46,7 @@ from .specht import (
 from .tableaux import INVERSE, NATURAL, Partition, Tableau, count_standard_tableaux, enumerate_standard_tableaux
 from .varieties import (
     ResourceLimitError,
+    SelfCheckError,
     SetPartition,
     condition_star,
     height_and_purity,
@@ -141,6 +143,7 @@ class Report:
         return "\n".join(lines)
 
 
+@functools.cache  # one parser per process: building it costs more than a small query
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="specht",

@@ -8,15 +8,22 @@ are exact; components are computed lazily per degree, and every kind's
 (``_per_degree``), so a repeat call returns the same GradedBasis.  All
 elimination runs in :mod:`linalg`.
 
-Two structural accelerations, both backed by standard facts and verified
-structurally at use:
+Three structural accelerations, each backed by a standard fact:
 
-* if every generator is translation invariant (a polynomial in the
-  differences x_i - x_n), then x_n is a regular element on R/I, so quotient
-  dimensions satisfy dim (R/I)_d = sum_{e<=d} dim (S/phi(I))_e for the
-  specialization phi: x_n -> 0, and the chain recurses.  Invariance is
-  read off sum_i dg/dx_i = 0 when the characteristic is 0 or exceeds the
-  generator degrees, and off the expansion of g(x_i + x_n) otherwise;
+* if every generator of a generated ideal is translation invariant (a
+  polynomial in the differences x_i - x_n), then x_n is a regular element
+  on R/I, so quotient dimensions satisfy
+  dim (R/I)_d = sum_{e<=d} dim (S/phi(I))_e for the specialization
+  phi: x_n -> 0, and the chain recurses.  Invariance is verified at use:
+  it is read off sum_i dg/dx_i = 0 when the characteristic is 0 or
+  exceeds the generator degrees, and off the expansion of g(x_i + x_n)
+  otherwise;
+* every P_F is generated by differences, so the same identity holds for
+  I_{n,k} in every characteristic (flat base change): its degree-d
+  collapse rank is the sum over e <= d of the degree-e incidence ranks of
+  phi(I_{n,k}), an intersection of collapse kernels and coordinate ideals
+  in n-1 variables, and each of those ranks is computed once per degree
+  and field;
 * for I_{n,k} over the rationals, a mod-p collapse rank over the first of
   the ``fields.PROXY_PRIMES`` gives a certified upper bound on
   dim (I_{n,k})_d which, when it meets a lower bound coming from an
@@ -24,11 +31,11 @@ structurally at use:
   elimination.  If the bounds do not meet, the exact fraction-free
   elimination runs at once; no second prime is tried.
 
-One incidence builder, ``IntersectionInk._incidence``, serves I_{n,k}:
-``_collapse_rank`` computes every collapse rank from it (dense vectorized
-elimination over GF(p) when the matrix has at most ``_DENSE_CELL_CAP``
-cells, sparse exact elimination otherwise and always over the rationals),
-and ``component`` reads the null space of the same rows.
+Collapse ranks of I_{n,k} take one path: ``_collapse_rank`` ranks the
+reduced incidence rows by sparse exact elimination over the given field.
+The full n-variable incidence, ``IntersectionInk._incidence``, serves only
+``component``, whose null space separating polynomials and normal forms
+need.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .fields import PROXY_PRIMES, Field, QQ, field_of
 from .linalg import (
     Echelon,
@@ -47,7 +52,6 @@ from .linalg import (
     add_scaled,
     echelon_span,
     null_space,
-    rank_dense_mod_p,
     rank_sparse,
     span_and_kernel,
 )
@@ -61,8 +65,6 @@ from .poly import (
 )
 from .specht import SpechtSystem
 from .tableaux import NATURAL, LetterOrder, Partition
-
-_DENSE_CELL_CAP = 8_000_000
 
 
 @lru_cache(maxsize=None)
@@ -351,6 +353,7 @@ class IntersectionInk(Ideal):
         self.subsets = list(combinations(range(1, nvars + 1), k))
         self.cliques = [clique_ideal(nvars, F, fld) for F in self.subsets]
         self._dim_cache: dict[int, int] = {}
+        self._reduced_ranks: dict[tuple[int, Field], int] = {}
 
     # -- membership -------------------------------------------------------
     def contains(self, p: Polynomial) -> bool:
@@ -365,18 +368,35 @@ class IntersectionInk(Ideal):
         return [dict.fromkeys(group, 1) for cl in self.cliques for group in cl._fibers(d)]
 
     def _collapse_rank(self, d: int, fld: Field) -> int:
-        """Rank of the degree-d incidence rows over fld: dense vectorized
-        elimination over GF(p) when the matrix has at most _DENSE_CELL_CAP
-        cells, sparse exact elimination otherwise and always over QQ."""
-        rows = self._incidence(d)
-        nmonos = dim_degree(self.nvars, d)
-        p = fld.characteristic
-        if p and nmonos * len(rows) <= _DENSE_CELL_CAP:
-            a = np.zeros((nmonos, len(rows)), dtype=np.int64)
-            for col, row in enumerate(rows):
-                a[list(row), col] = 1
-            return rank_dense_mod_p(a, p)
-        return rank_sparse(rows, fld)
+        """Rank of the degree-d incidence rows over fld, i.e. dim (R/I_{n,k})_d.
+
+        R/I_{n,k} is (S/J)[x_n] for S = K[x_1..x_{n-1}] and J the image of
+        I_{n,k} under x_n -> 0, so the rank is the sum of J's incidence
+        ranks in degrees e <= d."""
+        return sum(self._reduced_rank(e, fld) for e in range(d + 1))
+
+    def _reduced_rank(self, e: int, fld: Field) -> int:
+        """Rank over fld of J's degree-e incidence in n-1 variables.
+
+        A clique F without n keeps its collapse fibers; one with n becomes
+        the coordinate ideal (x_i : i in F - {n}), one singleton fiber per
+        monomial avoiding those letters.  A monomial avoids some k-1 of the
+        n-1 letters exactly when at most n-k letters divide it, so those
+        columns are pinned and the fibers are ranked on the other columns."""
+        key = (e, fld)
+        if key not in self._reduced_ranks:
+            m = self.nvars - 1
+            pinned = {
+                j for j, mono in enumerate(monomials_of_degree(m, e))
+                if len(mono_support(mono)) <= self.nvars - self.k
+            }
+            rows = [
+                {j: 1 for j in group if j not in pinned}
+                for F in combinations(range(1, m + 1), self.k)
+                for group in clique_ideal(m, F)._fibers(e)
+            ]
+            self._reduced_ranks[key] = len(pinned) + rank_sparse(rows, fld)
+        return self._reduced_ranks[key]
 
     def dim(self, d: int, certified_lower: int | None = None) -> int:
         if d in self._dim_cache:

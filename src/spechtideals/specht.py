@@ -25,6 +25,7 @@ from .tableaux import (
     Tableau,
     enumerate_standard_tableaux,
 )
+from .varieties import SelfCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +624,10 @@ def replay_radical_reduction(
         for cls, c in current.items():
             h_total = h_total + h_poly(cls, k, fld).scale(c)
         if not h_total.is_zero():
-            raise RuntimeError("h-relation violated; implementation bug")
+            raise SelfCheckError("h-relation violated; implementation bug")
         trace.append(f"round {round_no} h-relation ok")
         if all(in_Z(cls, k) for cls in current):
-            raise RuntimeError(
+            raise SelfCheckError(
                 "nonzero coefficients supported on Z contradict standard "
                 "independence; implementation bug"
             )
@@ -641,7 +642,7 @@ def replay_radical_reduction(
                     new > old or in_Z(target_cls, k)
                 )
                 if not raised:
-                    raise RuntimeError(
+                    raise SelfCheckError(
                         "operation 2 failed to raise the prefix bottoms"
                     )
                 trace.append(
@@ -797,7 +798,7 @@ def replay_aa1_reduction(
         terms.append((c, mono, ctx.gen_index((i, j), cls)))
         trace.append(f"W-restriction {cls.text()} via column ({i},{j})")
     if w_supported:
-        raise RuntimeError(
+        raise SelfCheckError(
             "W-supported remainder is nonzero: contradicts h independence"
         )
     return MembershipCertificate(psi, terms, ctx, trace)

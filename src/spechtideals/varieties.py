@@ -29,6 +29,10 @@ class ResourceLimitError(RuntimeError):
     """An exhaustive enumeration was refused as too large."""
 
 
+class SelfCheckError(RuntimeError):
+    """An internal consistency check failed: a bug, never a finding."""
+
+
 _MINIMAL_PRIME_CAP = 9  # Bell(9) = 21147 partitions; beyond that, refuse
 
 
@@ -258,12 +262,12 @@ class PurityReport:
 
     def check_consistency(self) -> None:
         if self.pure != self.closed_form_pure:
-            raise RuntimeError(
+            raise SelfCheckError(
                 f"purity verdict {self.pure} disagrees with the closed form "
                 f"for {self.shape}"
             )
         if self.height != self.shape.parts[0]:
-            raise RuntimeError(
+            raise SelfCheckError(
                 f"height {self.height} != lambda_1 for {self.shape}"
             )
 

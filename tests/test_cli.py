@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spechtideals import betti, cli
+from spechtideals import betti, cli, varieties
 from spechtideals.betti import ProxyDisagreement, SelfCheckError
 from spechtideals.cli import _COMMANDS, run
 
@@ -375,6 +375,21 @@ class TestInternalError:
         assert code == 4
         assert "pd 5 != lambda_1" in verdict(payload, "internal_error")
 
+    def test_purity_closed_form_disagreement(self, monkeypatch):
+        # the purity verdict is checked against the closed form; a
+        # disagreement is a failed self-check, not a finding
+        real = varieties.PurityReport
+
+        def flipped(**fields):
+            return real(**{**fields, "closed_form_pure": not fields["closed_form_pure"]})
+
+        monkeypatch.setattr(varieties, "PurityReport", flipped)
+        payload, code = run_json(["purity", "--shape", "4,2,1"])
+        assert code == 4
+        assert [v["name"] for v in payload["verdicts"]] == ["internal_error"]
+        assert "disagrees with the closed form" in verdict(payload, "internal_error")
+        assert payload["tables"] == {}
+
     def test_frontier_in_a_process(self):
         out = _cli_process(["cm-check", "--shape", "3,3,1", "--char", "0"], stdout=subprocess.PIPE)
         assert out.returncode == 0 and out.stderr == ""
@@ -395,6 +410,37 @@ class TestClosedPipe:
             os.close(write_end)
         assert out.returncode == code
         assert out.stderr == ""
+
+
+class TestParser:
+    def test_one_parser_serves_a_sequence(self):
+        # the parser is built at the first run and reused: no argv, a
+        # refused one included, leaves state behind for the next
+        argvs = [
+            ["hilbert", "--shape", "2,2", "--max-deg", "4"],
+            ["hilbert", "--shape", "2,2", "--max-deg", "4", "--char", "3", "--format", "md"],
+            ["radical-check", "--shape", "2,2", "--no-such-flag"],
+            ["cm-check", "--shape", "2,2", "--exact-rational", "--format", "m2"],
+            ["cm-check", "--shape", "2,2"],
+            ["gens", "--shape", "2,1", "--order", "inverse", "--format", "md"],
+            ["gens", "--shape", "2,1"],
+            ["cm-check", "--shape", "2,2", "--char", "4"],
+            ["hilbert", "--shape", "2,2", "--max-deg", "4"],
+        ]
+
+        def outcome(argv):
+            report, code = run(argv)
+            return code, report and report.render(report.config.output_format)
+
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._parser.cache_clear()
+        reused = [outcome(argv) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
 
 
 class TestImport:

@@ -1,10 +1,10 @@
 """Ideal components, Hilbert functions, equality, specialization, socle."""
 
 import random
+from math import comb
 
 import pytest
 
-from spechtideals import ideals
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import (
     GeneratedIdeal,
@@ -76,17 +76,36 @@ class TestComponents:
         ideal = make()
         assert ideal.component(3) is ideal.component(3)
 
-    @pytest.mark.parametrize("n,k,d_max", [(5, 3, 4), (6, 4, 5)])
-    def test_sparse_collapse_rank_matches_dense(self, monkeypatch, n, k, d_max):
+    @pytest.mark.parametrize(
+        "n,k,d_max",
+        [(5, 3, 4), (6, 4, 5)] + [(n, k, 6) for n in range(2, 7) for k in range(2, n + 1)],
+    )
+    def test_sparse_collapse_rank_matches_dense(self, n, k, d_max):
         gf = field_of(32003)
         dense = [IntersectionInk(n, k, gf).dim(d) for d in range(d_max + 1)]
         assert dense == [IntersectionInk(n, k, gf).component(d).dimension for d in range(d_max + 1)]
-        monkeypatch.setattr(ideals, "_DENSE_CELL_CAP", 0)
         for fld in (gf, QQ):
             ink = IntersectionInk(n, k, fld)
             assert [ink.dim(d) for d in range(d_max + 1)] == dense
         probed = IntersectionInk(n, k, QQ)  # certified through sparse GF(p) probes
         assert [probed.dim(d, certified_lower=v) for d, v in enumerate(dense)] == dense
+        for fld in (QQ, field_of(2), field_of(3)):
+            # the n-1 variable ranks against the full n-variable null space
+            ink = IntersectionInk(n, k, fld)
+            assert [ink.dim(d) for d in range(d_max + 1)] == [
+                ink.component(d).dimension for d in range(d_max + 1)
+            ]
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 32003])
+    def test_collapse_dims_closed_forms(self, p):
+        # I_{n,2} is principal on the Vandermonde product, of degree C(n,2),
+        # and I_{n,n} is the ideal of all differences, with quotient K[t]
+        fld = field_of(p)
+        for n in range(2, 7):
+            vandermonde, diagonal = IntersectionInk(n, 2, fld), IntersectionInk(n, n, fld)
+            for d in range(8):
+                assert vandermonde.dim(d) == dim_degree(n, d - comb(n, 2))
+                assert diagonal.quotient_dim(d) == 1
 
     def test_probe_miss_goes_to_the_exact_rank(self, monkeypatch):
         # a lower bound below the true dimension: the one probe misses and
