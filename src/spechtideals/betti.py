@@ -24,9 +24,10 @@ characteristic 0 as well.  When d = 0 the translation step alone leaves an
 Artinian quotient and e(V) is not needed.  A certified quotient has length
 e(V), so its Koszul complex has e(V) 2^lambda_1 basis elements; past the
 column cap the attempt is skipped before any Hilbert function.  Otherwise
-(L > e(V), n > 9, a positive characteristic, an explicit degree bound, or
-a skipped attempt) the Koszul table up to a degree bound is used, and its
-certificate is ``heuristic``: the strands only look closed.
+(L > e(V), a positive characteristic, an explicit degree bound, a
+minimal-prime listing past its cap, or a skipped attempt) the Koszul
+table up to a degree bound is used, and its certificate is
+``heuristic``: the strands only look closed.
 
 Characteristic 0 tables are computed over the two large primes of
 ``fields.PROXY_PRIMES``, whose tables must agree (a disagreement raises,

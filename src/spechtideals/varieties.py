@@ -4,23 +4,33 @@ Points with a given equality pattern are encoded by set partitions of [n].
 Whether such a point lies in the vanishing locus is the coloring condition:
 every tableau of the shape has a column with two letters from one block.
 Three decision procedures are provided: a bipartite-placement feasibility
-test (dominance inequalities, with a max-flow reference), evaluation of all
-Specht generators at the pattern point, and brute force over fillings; they
-agree and are cross-checked in the test suite.
+test (dominance inequalities, with an augmenting-path max-flow reference),
+evaluation of all Specht generators at the pattern point, and brute force
+over fillings; they agree and are cross-checked in the test suite.
 
 Minimality of partition primes is decided over one-step refinements: the
 coloring condition is monotone under coarsening (merging blocks preserves
 every forced collision), so failure of all one-step refinements settles
 minimality.  The coloring condition reads only the block sizes, and the
 size profiles of a partition's one-step refinements depend only on its own
-profile, so minimality is decided once per block-size profile (p(n)
-decisions) and reused for every set partition of that profile (Bell(n)).
+profile, so minimality is a property of block-size profiles.  By
+Gale-Ryser it reads off the partial sums of the profile and the shape, and
+the minimal profiles are found by a prefix search that never enumerates
+the p(n) integer partitions.  The set partitions of the minimal profiles
+are then listed block by block and sorted into the order of the full
+Bell(n) enumeration ``set_partitions``, which is never run.  A profile
+b_1..b_k has n! / (prod b_i! prod m_j!) set partitions (m_j the
+multiplicity of size j), so the length of a listing is counted profile by
+profile before it starts; past ``_LISTING_CAP`` letters it is refused, at
+the profile that crosses the cap.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 
 from .tableaux import Partition, enumerate_standard_tableaux
 
@@ -33,7 +43,12 @@ class SelfCheckError(RuntimeError):
     """An internal consistency check failed: a bug, never a finding."""
 
 
-_MINIMAL_PRIME_CAP = 9  # Bell(9) = 21147 partitions; beyond that, refuse
+# Letters minimal_primes may list: primes times n.  The listing and its CLI
+# report cost in proportion to it: `minimal-primes --shape 9,9` (43,758
+# primes, 787,644 letters) takes 3.7 s and 225 MB end to end, and
+# 3,3,3,3,3,3,3,3,3,3 (27,405 primes of 30 letters, refused) 5.4 s and
+# 278 MB (Python 3.11, one process on 2 cores).
+_LISTING_CAP = 800_000
 
 
 @dataclass(frozen=True)
@@ -142,21 +157,42 @@ def placement_feasible_dominance(counts, capacities) -> bool:
 
 
 def placement_feasible_flow(counts, capacities) -> bool:
-    """Max-flow reference for the same feasibility question."""
-    import networkx as nx  # only this reference engine needs it
-
+    """Max-flow reference for the same feasibility question: shortest
+    augmenting paths on source -> color i (capacity counts[i]) -> column j
+    (capacity 1) -> sink (capacity capacities[j])."""
     total = sum(counts)
     if total != sum(capacities):
         return False
-    g = nx.DiGraph()
-    for i, c in enumerate(counts):
-        g.add_edge("s", ("c", i), capacity=c)
-        for j in range(len(capacities)):
-            g.add_edge(("c", i), ("k", j), capacity=1)
-    for j, cap in enumerate(capacities):
-        g.add_edge(("k", j), "t", capacity=cap)
-    value = nx.maximum_flow_value(g, "s", "t")
-    return value == total
+    m = len(counts)
+    sink = m + len(capacities) + 1  # 0 is the source, then colors, columns
+    residual = [[0] * (sink + 1) for _ in range(sink + 1)]
+    for i, c in enumerate(counts, 1):
+        residual[0][i] = c
+        for j in range(m + 1, sink):
+            residual[i][j] = 1
+    for j, cap in enumerate(capacities, m + 1):
+        residual[j][sink] = cap
+    flow = 0
+    while True:
+        parent = [-1] * (sink + 1)
+        parent[0] = 0
+        queue = [0]
+        for u in queue:  # breadth-first: the queue grows while it is read
+            for v, r in enumerate(residual[u]):
+                if r > 0 and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[sink] < 0:
+            return flow == total
+        path, v = [], sink
+        while v != 0:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
 
 
 def condition_star(pi: SetPartition, shape: Partition, engine: str = "dominance") -> bool:
@@ -227,28 +263,116 @@ def evaluation_oracle(pi: SetPartition, shape: Partition) -> bool:
 # Minimal primes, heights, purity
 
 
+def _minimal_profiles(shape: Partition):
+    """Yield the block-size profiles whose set partitions index the minimal
+    primes: mu has the coloring condition and every one-step refinement
+    (one part b split into a and b - a) loses it.
+
+    The coloring condition for mu is mu not dominated by the shape (the
+    Gale-Ryser test of ``placement_feasible_dominance``), and the most
+    dominant one-step refinement splits the last part b >= 2 into (b - 1, 1).
+    With M_k and L_k the partial sums of mu and the shape, mu qualifies
+    exactly when mu = (mu_1, ..., mu_j, 1^r) with mu_j >= 2, M_k <= L_k for
+    k < j and M_j = L_j + 1.  The search extends prefixes by parts >= 2 and
+    keeps a prefix only while M_j = L_j + 1 can still be reached, so every
+    prefix it visits leads to a profile it yields.
+    """
+    n, rows = shape.n, shape.parts
+    last = len(rows) - 1  # M_j = L_j + 1 <= n needs j < len(rows)
+
+    def reachable(k, gap, m):
+        # parts of size m close the gap L - M fastest; where one would
+        # overshoot, a smaller part lands on L_j + 1 exactly
+        for lam in rows[k:last]:
+            gap += lam - m
+            if gap < 0:
+                return True
+        return False
+
+    def search(prefix, gap, m):
+        k = len(prefix)
+        if k == last:
+            return
+        top = gap + rows[k] + 1  # the next part with M = L + 1
+        if top <= m:
+            yield prefix + (top,) + (1,) * (n - sum(prefix) - top)
+        for p in range(min(m, top - 1), 1, -1):
+            if not reachable(k + 1, gap + rows[k] - p, p):
+                break  # a smaller part reaches less
+            yield from search(prefix + (p,), gap + rows[k] - p, p)
+
+    yield from search((), 0, n)
+
+
+def _profile_count(profile) -> int:
+    """Number of set partitions of [n] with the given block sizes:
+    n! / (prod b_i! prod m_k!), m_k the multiplicity of size k."""
+    out = factorial(sum(profile))
+    for b in profile:
+        out //= factorial(b)
+    for m in Counter(profile).values():
+        out //= factorial(m)
+    return out
+
+
+def _profile_listing(n: int, profiles) -> list[SetPartition]:
+    """The set partitions of [n] whose block sizes form one of the profiles,
+    in the order of ``set_partitions``.
+
+    Each profile is listed block by block: the least letter not yet placed
+    opens the next block and takes its other letters from the letters after
+    it, so every set partition of the profile comes once, its blocks in
+    canonical order; once only singletons are left they close it at once.
+    ``set_partitions`` lists in lexicographic order of the restricted-growth
+    word (letter i -> the index of its block), so the listing is sorted by
+    that word.
+    """
+    found: list[list[tuple[int, ...]]] = []
+
+    def rec(rest, sizes, blocks):
+        if not sizes or sizes[0] == 1:  # sizes stay sorted descending
+            found.append(blocks + [(v,) for v in rest])
+            return
+        first, others = rest[0], rest[1:]
+        for s in sorted(set(sizes), reverse=True):
+            left = list(sizes)
+            left.remove(s)
+            for mates in combinations(others, s - 1):
+                taken = set(mates)
+                rec([v for v in others if v not in taken], left, blocks + [(first, *mates)])
+
+    for t in profiles:
+        rec(list(range(1, n + 1)), sorted(t, reverse=True), [])
+
+    def growth_word(blocks):
+        word = [0] * n
+        for index, block in enumerate(blocks):
+            for v in block:
+                word[v - 1] = index
+        return word
+
+    found.sort(key=growth_word)
+    return [SetPartition(n, tuple(blocks)) for blocks in found]
+
+
 def minimal_primes(shape: Partition) -> list[SetPartition]:
     """Set partitions Pi with the coloring condition that lose it under every
-    one-step refinement; these index the minimal partition primes."""
-    n = shape.n
-    if n > _MINIMAL_PRIME_CAP:
-        raise ResourceLimitError(
-            f"minimal-prime enumeration over Bell({n}) partitions is refused; "
-            f"the cap is n <= {_MINIMAL_PRIME_CAP}"
-        )
-    minimal: dict[tuple[int, ...], bool] = {}  # block-size profile -> verdict
-    out = []
-    for pi in set_partitions(n):
-        profile = tuple(pi.block_sizes())
-        if profile not in minimal:
-            minimal[profile] = (
-                len(pi.blocks) < n  # the generic point: P is (0), never contains the ideal
-                and condition_star(pi, shape)
-                and not any(condition_star(r, shape) for r in one_step_refinements(pi))
+    one-step refinement; these index the minimal partition primes.
+
+    Listed profile by profile (module docstring); a listing longer than
+    ``_LISTING_CAP`` letters is refused from the closed-form count, before
+    it starts.
+    """
+    profiles, count = [], 0
+    for mu in _minimal_profiles(shape):
+        profiles.append(mu)
+        count += _profile_count(mu)
+        if count * shape.n > _LISTING_CAP:
+            raise ResourceLimitError(
+                f"the minimal primes of {shape} run past {_LISTING_CAP} letters "
+                f"(primes times n); listing them is refused"
             )
-        if minimal[profile]:
-            out.append(pi)
-    return out
+    return _profile_listing(shape.n, profiles)
 
 
 @dataclass

@@ -83,6 +83,15 @@ class TestCommands:
         _, code = run_json(["purity", "--shape", "4,2,1"])
         assert code == 1
 
+    def test_loci_at_n10(self):
+        payload, code = run_json(["minimal-primes", "--shape", "5,4,1"])
+        assert code == 0 and verdict(payload, "minimal_prime_count") == 336
+        assert len(payload["tables"]["minimal_primes"]) == 336
+        payload, code = run_json(["purity", "--shape", "6,3,1"])
+        assert code == 1
+        assert verdict(payload, "height") == 6 and verdict(payload, "pure") is False
+        assert payload["tables"]["heights_seen"] == [6, 8]
+
     def test_betti_char2(self):
         payload, code = run_json(["betti", "--shape", "3,3", "--char", "2"])
         assert code == 0
@@ -279,7 +288,8 @@ class TestErrors:
         assert code == 2
 
     def test_resource_cap_exit_three(self):
-        _, code = run(["minimal-primes", "--shape", "9,1"])
+        # C(24, 13) minimal primes: refused from the closed-form count
+        _, code = run(["minimal-primes", "--shape", "12,12"])
         assert code == 3
 
     def test_unknown_command_exit_two(self):
@@ -445,7 +455,7 @@ class TestParser:
 
 class TestImport:
     def test_cli_import_leaves_networkx_unloaded(self):
-        # networkx serves only the max-flow reference engine, which loads it
+        # the max-flow reference engine is pure Python: nothing loads networkx
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))

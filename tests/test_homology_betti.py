@@ -307,6 +307,13 @@ class TestArtinianReduction:
         assert (cert.kind, cert.multiplicity, cert.length) == ("artinian-length", None, 1)
         assert v.table.entries == {(i, i): comb(4, i) for i in range(5)}
 
+    def test_certified_past_n9(self):
+        # (8,2): the minimal primes at n = 10 give e(V) = C(10, 9)
+        v = cm_verdict(Partition((8, 2)), 0)
+        cert = v.certificate
+        assert (cert.kind, cert.length, cert.multiplicity) == ("artinian-length", 10, comb(10, 9))
+        assert v.is_cm and v.pd == 8
+
     def test_degree_bound_keeps_the_koszul_path(self):
         v = cm_verdict(Partition((3, 3)), 0, j_max=8)
         assert v.certificate.kind == "heuristic" and v.table.j_max == 8

@@ -1,10 +1,13 @@
 """Set partitions, the coloring condition, minimal primes, heights, purity."""
 
 import random
+from collections import Counter
+from math import comb
 
 import pytest
 
 from spechtideals.tableaux import Partition, enumerate_partitions
+from spechtideals import varieties
 from spechtideals.varieties import (
     ResourceLimitError,
     SetPartition,
@@ -149,8 +152,43 @@ class TestMinimalPrimes:
         assert [p.text() for p in primes] == ["1,2,3,4,5"]
 
     def test_resource_cap(self):
+        # one profile, (13, 1^11), with C(24, 13) set partitions: refused
+        # from the closed form, before any listing
         with pytest.raises(ResourceLimitError):
-            minimal_primes(Partition((9, 1)))
+            minimal_primes(Partition((12, 12)))
+
+    def test_resource_cap_before_any_enumeration(self):
+        # p(80) is about 1.6e7: the profile search refuses at the first
+        # profile, (41, 1^39), with C(80, 41) set partitions
+        with pytest.raises(ResourceLimitError):
+            minimal_primes(Partition((40, 40)))
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_profiles_match_definition(self, n):
+        # the prefix search against the definition over all p(n) profiles:
+        # the coloring condition holds (Gale-Ryser), and fails for every
+        # one-step refinement
+        def star(mu, lam):
+            return not placement_feasible_dominance(mu, lam.conjugate().parts)
+
+        def refinements(mu):
+            for j, b in enumerate(mu):
+                for a in range(1, b // 2 + 1):
+                    yield tuple(sorted(mu[:j] + mu[j + 1:] + (a, b - a), reverse=True))
+
+        for lam in enumerate_partitions(n):
+            if lam.is_trivial:
+                continue
+            found = list(varieties._minimal_profiles(lam))
+            assert len(found) == len(set(found)), lam
+            expected = {
+                mu.parts
+                for mu in enumerate_partitions(n)
+                if len(mu.parts) < n
+                and star(mu.parts, lam)
+                and not any(star(r, lam) for r in refinements(mu.parts))
+            }
+            assert set(found) == expected, lam
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_bell_definition_in_order(self, n):
@@ -170,6 +208,40 @@ class TestMinimalPrimes:
     def test_counts_n9(self):
         assert len(minimal_primes(Partition((4, 4, 1)))) == 126
         assert len(minimal_primes(Partition((5, 3, 1)))) == 210
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_listing_matches_closed_form(self, n):
+        # per profile, the listing holds n! / (prod b_i! prod m_k!) set
+        # partitions, and nothing of any other profile
+        for lam in enumerate_partitions(n):
+            if lam.is_trivial:
+                continue
+            profiles = varieties._minimal_profiles(lam)
+            listed = Counter(tuple(p.block_sizes()) for p in minimal_primes(lam))
+            assert listed == {mu: varieties._profile_count(mu) for mu in profiles}, lam
+
+    def test_profile_count_small(self):
+        assert varieties._profile_count((3, 1)) == 4
+        assert varieties._profile_count((2, 2)) == 3
+        assert varieties._profile_count((2, 1, 1)) == 6
+        assert varieties._profile_count((1, 1, 1, 1)) == 1
+        # all profiles of n sum to Bell(n)
+        for n, bell in BELL.items():
+            total = sum(varieties._profile_count(mu.parts) for mu in enumerate_partitions(n))
+            assert total == bell
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_top_orbit_when_rows_equal(self, n):
+        # next-to-last part equal to lambda_1: the minimal primes are the
+        # C(n, lambda_1 + 1) partitions P_F, so e(V) = C(n, lambda_1 + 1)
+        for lam in enumerate_partitions(n):
+            parts = lam.parts
+            if lam.is_trivial or parts[-2] != parts[0]:
+                continue
+            primes = minimal_primes(lam)
+            assert len(primes) == comb(n, parts[0] + 1), lam
+            assert {p.height for p in primes} == {parts[0]}, lam
+            assert set(primes) == set(expected_minimal_primes(lam)), lam
 
 
 class TestHeightPurity:
