@@ -1,11 +1,10 @@
 """Graded Betti numbers of R/I via Koszul homology, and CM/Gorenstein verdicts.
 
 beta_{i,j} is the degree-j dimension of the i-th homology of the Koszul
-complex on all variables tensored with R/I.  When every generator of I is a
-polynomial in the differences x_i - x_n, the last variable is a regular
-element on R/I and the computation drops to the specialization in one
-fewer variable with the same Betti table; the reduction repeats while it
-applies, which keeps the worked fixtures small.
+complex on all variables tensored with R/I.  For a Specht ideal the last
+variable is a regular element on R/I (``ideals.SpechtIdeal``), so the
+computation drops to the specialization x_n -> 0 in one fewer variable,
+with the same Betti table.
 
 In characteristic 0, ``cm_verdict`` first tries a certified Artinian
 reduction (Serre's multiplicity criterion, Bruns-Herzog 4.7), in
@@ -67,7 +66,6 @@ class BettiTable:
     characteristic: int
     entries: dict[tuple[int, int], int]
     j_max: int
-    reduced_to: int = 0  # variables left after regular-element reduction
 
     @property
     def pd(self) -> int:
@@ -124,28 +122,18 @@ class BettiTable:
         }
 
 
-def _reduce_while_invariant(ideal: Ideal) -> Ideal:
-    current = ideal
-    while isinstance(current, GeneratedIdeal):
-        red = current._translation_reduction()
-        if red is None:
-            break
-        current = red
-    return current
-
-
 def koszul_betti(
     ideal: Ideal,
     j_max: int,
     max_columns: int = _DEFAULT_COLUMN_CAP,
 ) -> BettiTable:
-    """Betti table of R/I for internal degrees <= j_max.
+    """Betti table of R/I for internal degrees <= j_max, computed on the
+    ideal's x_n -> 0 image when it carries one.
 
     ``max_columns`` caps the Koszul matrices; exceeding it raises a
     ResourceLimitError rather than grinding.
     """
-    original_n = ideal.nvars
-    work = _reduce_while_invariant(ideal)
+    work = ideal.translation_reduction() or ideal
     m = work.nvars
     q = QuotientRing(work)
     qdim: list[int] = []
@@ -217,11 +205,10 @@ def koszul_betti(
             if beta:
                 entries[(i, j)] = beta
     return BettiTable(
-        n=original_n,
+        n=ideal.nvars,
         characteristic=work.field.characteristic,
         entries=entries,
         j_max=j_max,
-        reduced_to=m,
     )
 
 
@@ -344,8 +331,8 @@ def artinian_reduction(
     """
     trace = [] if trace is None else trace
     n, lam1 = shape.n, shape.parts[0]
-    # x_n -> 0 is the translation step: the generators are polynomials in
-    # the differences x_i - x_n, so x_n is regular on R/I over every field
+    # x_n -> 0 is the translation step: x_n is regular on R/I over every
+    # field, as ``ideals.SpechtIdeal`` states
     d = n - 1 - lam1
     units = [[int(i == a) for i in range(lam1)] for a in range(lam1)]
     origin = [[0] * lam1]

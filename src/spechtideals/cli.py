@@ -5,7 +5,7 @@ error), 2 usage error, 3 resource cap, 4 internal error (a failed
 self-check such as disagreeing proxy primes; never a finding).  A reader
 that closes the pipe early (``specht gens ... | head``) does not change
 the code: the command's own exit code is returned and no traceback is
-printed.  Reports are deterministic for a fixed configuration and seed:
+printed.  Reports are deterministic for a fixed configuration:
 ``timing_ms`` stays null unless --timing is given, so byte-identical
 reruns are the default.
 """
@@ -63,7 +63,6 @@ class RunConfig:
     characteristic: int = 0
     max_degree: int | None = None
     output_format: str = "json"
-    seed: int = 0
     extras: dict = dc_field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
@@ -71,7 +70,6 @@ class RunConfig:
             "command": self.command,
             "characteristic": self.characteristic,
             "format": self.output_format,
-            "seed": self.seed,
         }
         if self.shape is not None:
             out["shape"] = self.shape
@@ -160,7 +158,6 @@ def _parser() -> argparse.ArgumentParser:
         if maxdeg:
             p.add_argument("--max-deg", type=int, default=None)
         p.add_argument("--format", choices=("json", "md", "m2"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timing", action="store_true", help="include timings (breaks byte-identical reruns)")
 
     p = sub.add_parser("gens", help="standard Specht generators")
@@ -467,6 +464,8 @@ def _cmd_experiment(args, report: Report) -> int:
         tok = tok.strip()
         if tok:
             primes.append(int(tok))
+    if not primes:
+        raise ValueError(f"--primes lists no prime, got {args.primes!r}")
     shapes = []
     for n in range(4, n_max + 1):
         for d in range(2, n // 2 + 1):
@@ -552,7 +551,6 @@ def run(argv) -> tuple[Report | None, int]:
         characteristic=getattr(args, "char", 0),
         max_degree=getattr(args, "max_deg", None),
         output_format=args.format,
-        seed=args.seed,
         extras={
             k: v
             for k, v in vars(args).items()
@@ -563,7 +561,6 @@ def run(argv) -> tuple[Report | None, int]:
                 "char",
                 "max_deg",
                 "format",
-                "seed",
                 "timing",
             )
             and v is not None

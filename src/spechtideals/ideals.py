@@ -10,14 +10,12 @@ elimination runs in :mod:`linalg`.
 
 Three structural accelerations, each backed by a standard fact:
 
-* if every generator of a generated ideal is translation invariant (a
-  polynomial in the differences x_i - x_n), then x_n is a regular element
-  on R/I, so quotient dimensions satisfy
-  dim (R/I)_d = sum_{e<=d} dim (S/phi(I))_e for the specialization
-  phi: x_n -> 0, and the chain recurses.  Invariance is verified at use:
-  it is read off sum_i dg/dx_i = 0 when the characteristic is 0 or
-  exceeds the generator degrees, and off the expansion of g(x_i + x_n)
-  otherwise;
+* every Specht polynomial is a product of differences x_a - x_b, so a
+  polynomial in the x_i - x_n, and x_n is regular on R/I^Sp in every
+  characteristic: dim (R/I)_d = sum_{e<=d} dim (S/phi(I))_e for the
+  specialization phi: x_n -> 0.  ``specht_ideal`` returns a
+  ``SpechtIdeal``, which carries phi(I) by construction; a plain generated
+  ideal carries no reduction;
 * every P_F is generated by differences, so the same identity holds for
   I_{n,k} in every characteristic (flat base change): its degree-d
   collapse rank is the sum over e <= d of the degree-e incidence ranks of
@@ -64,7 +62,7 @@ from .poly import (
     poly_to_row,
 )
 from .specht import SpechtSystem
-from .tableaux import NATURAL, LetterOrder, Partition
+from .tableaux import Partition
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +119,11 @@ class Ideal:
         """Finite homogeneous generating set, if one is known."""
         return None
 
+    def translation_reduction(self) -> "GeneratedIdeal | None":
+        """The image under x_n -> 0 when the ideal carries, from its
+        construction, that x_n is regular on R/I (a ``SpechtIdeal``)."""
+        return None
+
 
 class GeneratedIdeal(Ideal):
     """Ideal given by homogeneous generators."""
@@ -140,11 +143,14 @@ class GeneratedIdeal(Ideal):
         for g in self.gens:
             self._by_degree.setdefault(g.homogeneous_degree(), []).append(g)
         self._ech: dict[int, Echelon] = {}
-        self._reduction: GeneratedIdeal | None | bool = None
         self._qdim: dict[int, int] = {}
 
     def generator_list(self):
         return list(self.gens)
+
+    def translation_invariant(self) -> bool:
+        """Whether the ideal carries its x_n -> 0 image."""
+        return self.translation_reduction() is not None
 
     # -- incremental echelons -------------------------------------------
     def _echelon(self, d: int) -> Echelon:
@@ -177,7 +183,7 @@ class GeneratedIdeal(Ideal):
             return 0
         if d in self._qdim:
             return self._qdim[d]
-        red = self._translation_reduction()
+        red = self.translation_reduction()
         if red is not None:
             val = sum(red.quotient_dim(e) for e in range(d + 1))
         else:
@@ -190,55 +196,6 @@ class GeneratedIdeal(Ideal):
             return True
         d = p.homogeneous_degree()
         return self._echelon(d).contains(poly_to_row(p.map_field(self.field), d))
-
-    # -- regular-element reduction ----------------------------------------
-    def _translation_reduction(self) -> "GeneratedIdeal | None":
-        """The specialization x_n -> 0 when all generators are polynomials in
-        the differences x_i - x_n (which makes x_n regular on R/I)."""
-        if self._reduction is not None:
-            return self._reduction if self._reduction is not False else None
-        if not self.gens or self.nvars <= 1:
-            self._reduction = False
-            return None
-        p = self.field.characteristic
-        if 0 < p <= max(self._by_degree):
-            # an exponent can reach p, where the derivative test is blind:
-            # expand g(x_1 + x_n, ..., x_{n-1} + x_n, x_n) and look for x_n
-            last = self.nvars - 1
-            xlast = Polynomial.variable(self.nvars, last, self.field)
-            shift = {
-                i: Polynomial.variable(self.nvars, i, self.field) + xlast
-                for i in range(last)
-            }
-            invariant = all(last not in g.substitute(shift).variables() for g in self.gens)
-        else:
-            invariant = all(_partials_sum_to_zero(g) for g in self.gens)
-        if not invariant:
-            self._reduction = False
-            return None
-        self._reduction = specialize_xn(self)
-        return self._reduction
-
-    def translation_invariant(self) -> bool:
-        return self._translation_reduction() is not None
-
-
-def _partials_sum_to_zero(g: Polynomial) -> bool:
-    """Whether sum_i dg/dx_i vanishes.
-
-    In the coordinates y_i = x_i - x_n (i < n), y_n = x_n this sum is
-    dg/dy_n.  When the characteristic is 0 or above the degree of g, no
-    exponent of y_n is a multiple of it, so the sum vanishes exactly when
-    g is a polynomial in the differences x_i - x_n.
-    """
-    p = g.field.characteristic
-    total: dict = {}
-    for m, c in g.terms.items():
-        for i, e in enumerate(m):
-            if e:
-                key = m[:i] + (e - 1,) + m[i + 1 :]
-                total[key] = total.get(key, 0) + e * c
-    return all((v % p if p else v) == 0 for v in total.values())
 
 
 def specialize_xn(ideal: GeneratedIdeal) -> GeneratedIdeal:
@@ -262,11 +219,24 @@ def specialize_xn(ideal: GeneratedIdeal) -> GeneratedIdeal:
     return GeneratedIdeal(n - 1, ideal.field, images)
 
 
-def specht_ideal(shape: Partition, fld: Field = QQ, order: LetterOrder = NATURAL) -> GeneratedIdeal:
+class SpechtIdeal(GeneratedIdeal):
+    """I^Sp_lambda.  Its generators are products of differences x_a - x_b,
+    hence polynomials in the x_i - x_n, so x_n is regular on R/I in every
+    characteristic and R/I = (S/phi(I))[x_n] for phi: x_n -> 0."""
+
+    _image: GeneratedIdeal | None = None
+
+    def translation_reduction(self) -> GeneratedIdeal | None:
+        if self._image is None and self.nvars > 1:  # no ring in zero variables
+            self._image = specialize_xn(self)
+        return self._image
+
+
+def specht_ideal(shape: Partition, fld: Field = QQ) -> SpechtIdeal:
     """The Specht ideal of the shape, generated by the standard Specht
     polynomials (which span all Specht polynomials in any characteristic)."""
-    system = SpechtSystem.build(shape, fld, order)
-    return GeneratedIdeal(shape.n, fld, [f for _, f in system.generators])
+    system = SpechtSystem.build(shape, fld)
+    return SpechtIdeal(shape.n, fld, [f for _, f in system.generators])
 
 
 class PartitionIdealK(Ideal):

@@ -18,13 +18,7 @@ from itertools import combinations
 from .fields import Field, QQ
 from .linalg import echelon_span
 from .poly import Monomial, Polynomial, mono_support
-from .tableaux import (
-    NATURAL,
-    LetterOrder,
-    Partition,
-    Tableau,
-    enumerate_standard_tableaux,
-)
+from .tableaux import Partition, Tableau, enumerate_standard_tableaux
 from .varieties import SelfCheckError
 
 
@@ -97,10 +91,10 @@ class SpechtSystem:
     generators: tuple[tuple[Tableau, Polynomial], ...]
 
     @staticmethod
-    def build(shape: Partition, fld: Field = QQ, order: LetterOrder = NATURAL) -> "SpechtSystem":
+    def build(shape: Partition, fld: Field = QQ) -> "SpechtSystem":
         gens = []
         d = specht_poly_degree(shape)
-        for t in enumerate_standard_tableaux(shape, order):
+        for t in enumerate_standard_tableaux(shape):
             f = specht_poly(t, fld)
             if f.homogeneous_degree() != d:
                 raise AssertionError("Specht polynomial with unexpected degree")

@@ -214,8 +214,8 @@ class TestReports:
             assert set(v) == {"name", "value", "provenance"}
 
     def test_byte_identical_reruns(self):
-        a, _ = run(["purity", "--shape", "3,2", "--seed", "7"])
-        b, _ = run(["purity", "--shape", "3,2", "--seed", "7"])
+        a, _ = run(["purity", "--shape", "3,2"])
+        b, _ = run(["purity", "--shape", "3,2"])
         assert a.render("json") == b.render("json")
 
     def test_timing_opt_in(self):
@@ -322,6 +322,9 @@ class TestRefusedInput:
             # the grid starts at n = 4: a smaller bound holds no cell
             ["experiment", "--n-max", "0"],
             ["experiment", "--n-max", "3", "--primes", "2"],
+            # an empty prime list holds no cell either
+            ["experiment", "--n-max", "4", "--primes", ""],
+            ["experiment", "--n-max", "4", "--primes", ","],
         ],
     )
     def test_exit_two_without_traceback(self, argv):

@@ -79,10 +79,7 @@ class TestKoszul:
         ideal = specht_ideal(Partition((2, 2)), F)
         j_max = 6
         table = koszul_betti(ideal, j_max)
-        work = ideal._translation_reduction() or ideal
-        from spechtideals.betti import _reduce_while_invariant
-
-        work = _reduce_while_invariant(ideal)
+        work = ideal.translation_reduction()
         q = QuotientRing(work)
         m = work.nvars
         for j in range(j_max + 1):

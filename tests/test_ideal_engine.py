@@ -1,6 +1,5 @@
 """Ideal components, Hilbert functions, equality, specialization, socle."""
 
-import random
 from math import comb
 
 import pytest
@@ -168,6 +167,19 @@ def basis_dim_oracle(nvars, m, d):
     return count
 
 
+_SPECHT_CASES = [
+    (shape, p)
+    for n in range(2, 7)
+    for shape in enumerate_partitions(n)
+    if not shape.is_trivial
+    for p in (0, 2, 3)
+]
+
+
+def _case_id(val):
+    return val.text() if isinstance(val, Partition) else f"char{val}"
+
+
 class TestHilbert:
     def test_two_row_series(self):
         for n in (4, 5):
@@ -180,12 +192,14 @@ class TestHilbert:
         dims = hilbert_function(ideal, 4)
         assert dims == [dim_degree(3, d) for d in range(5)]
 
-    def test_reduction_chain_matches_direct(self):
+    @pytest.mark.parametrize("shape,p", _SPECHT_CASES, ids=_case_id)
+    def test_reduction_chain_matches_direct(self, shape, p):
         # the regular-element shortcut agrees with raw elimination
-        ideal = specht_ideal(Partition((3, 2)))
-        chained = hilbert_function(ideal, 5)
+        ideal = specht_ideal(shape, field_of(p))
+        top = shape.parts[0] + 3
+        chained = hilbert_function(ideal, top)
         direct = [
-            dim_degree(5, d) - ideal.component(d).dimension for d in range(6)
+            dim_degree(shape.n, d) - ideal.component(d).dimension for d in range(top + 1)
         ]
         assert chained == direct
 
@@ -194,37 +208,26 @@ class TestHilbert:
         gens = [x(1, 3) * x(2, 3)]
         assert not GeneratedIdeal(3, QQ, gens).translation_invariant()
 
-    @pytest.mark.parametrize("p", [0, 2, 3, 5, 32003])
-    def test_invariance_tests_agree(self, p):
-        # the sum of partials (characteristic 0 or above the degree) and the
-        # expansion of g(x_i + x_n) (small characteristic) decide alike
+    @pytest.mark.parametrize("shape,p", _SPECHT_CASES, ids=_case_id)
+    def test_generators_lose_xn_under_shift(self, shape, p):
+        # every Specht generator is a polynomial in the x_i - x_n: expanding
+        # g(x_1 + x_n, ..., x_{n-1} + x_n, x_n) leaves no x_n, which is the
+        # fact the carried x_n -> 0 image rests on
         fld = field_of(p)
-        rng = random.Random(p)
-        n = 3
-        diffs = [x(i, n, fld) - x(n, n, fld) for i in range(1, n)]
-        for _ in range(40):
-            deg = rng.randint(1, 4)
-            g = Polynomial.zero(n, fld)
-            for _ in range(rng.randint(1, 3)):
-                term = Polynomial.constant(n, rng.randint(1, 6), fld)
-                for _ in range(deg):
-                    term = term * rng.choice(diffs)
-                g = g + term
-            if rng.random() < 0.5:  # spoil invariance with a power of x_n
-                g = g + x(n, n, fld) ** deg
-            if g.is_zero():
-                continue
-            xn = x(n, n, fld)
-            shift = {i: x(i + 1, n, fld) + xn for i in range(n - 1)}
-            want = n - 1 not in g.substitute(shift).variables()
-            assert GeneratedIdeal(n, fld, [g]).translation_invariant() == want, (p, g)
+        n = shape.n
+        xn = x(n, n, fld)
+        shift = {i: x(i + 1, n, fld) + xn for i in range(n - 1)}
+        for g in specht_ideal(shape, fld).gens:
+            assert n - 1 not in g.substitute(shift).variables(), g
 
-    def test_frobenius_power_is_not_invariant(self):
-        # over GF(2) the partials of x_2^2 sum to 0, yet x_2^2 is no
-        # polynomial in x_1 - x_2; (x_1 - x_2)^2 = x_1^2 + x_2^2 is
-        f2 = field_of(2)
-        assert not GeneratedIdeal(2, f2, [x(2, 2, f2) ** 2]).translation_invariant()
-        assert GeneratedIdeal(2, f2, [x(1, 2, f2) ** 2 + x(2, 2, f2) ** 2]).translation_invariant()
+    @pytest.mark.parametrize("shape,p", _SPECHT_CASES, ids=_case_id)
+    def test_carried_image_is_specialize_xn(self, shape, p):
+        ideal = specht_ideal(shape, field_of(p))
+        image = ideal.translation_reduction()
+        assert image is ideal.translation_reduction()  # built once
+        want = specialize_xn(ideal)
+        assert (image.nvars, image.field) == (want.nvars, want.field)
+        assert image.gens == want.gens
 
 
 class TestEquality:
