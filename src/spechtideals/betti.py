@@ -6,6 +6,27 @@ variable is a regular element on R/I (``ideals.SpechtIdeal``), so the
 computation drops to the specialization x_n -> 0 in one fewer variable,
 with the same Betti table.
 
+``regular_reduction`` then divides M = S/J (J that image) by linear forms,
+one at a time, before any Koszul rank.  A form l = x_m + sum c_i x_i is
+accepted when the image J' of J under x_m -> -sum c_i x_i has
+dim (S'/J')_t = dim M_t - dim M_{t-1} for every t <= j_max.  Since
+dim (M/lM)_t = dim M_t - rank(l: M_{t-1} -> M_t), this says exactly that
+l is injective on M_t for t < j_max, i.e. 0 -> M(-1) -> M -> M/lM -> 0 is
+exact in degrees <= j_max.  The degree-j strand of a Koszul complex reads
+the module only in degrees <= j, so with l as a coordinate, the Koszul
+complex of M is the mapping cone of l on that of the other variables, and
+for j <= j_max it has the homology of the Koszul complex of M/lM:
+beta_{i,j}(M) = beta_{i,j}(M/lM) for every j <= j_max, and the table, its
+``closed_off`` flag and every report stay the same.  The form need not be
+regular: over GF(2) every linear form lies in a minimal prime of (3,3),
+yet one is injective below j_max.  Candidates are the all-ones form, then
+draws with nonzero coefficients from a fixed generator, at most
+``_SOP_DRAWS`` per step, over every field alike; the reduction stops when
+no candidate passes, when the quotient vanishes in degree j_max, or at
+one variable.  The Koszul matrices are then ranked in the fewer
+variables that remain, and since every chain dimension follows from the
+Hilbert function, the column cap is checked before any matrix is built.
+
 In characteristic 0, ``cm_verdict`` first tries a certified Artinian
 reduction (Serre's multiplicity criterion, Bruns-Herzog 4.7), in
 ``artinian_reduction``.  The translation step sends x_n to 0, and
@@ -51,7 +72,7 @@ from .tableaux import Partition, enumerate_standard_tableaux
 from .varieties import ResourceLimitError, SelfCheckError, SetPartition, minimal_primes
 
 _DEFAULT_COLUMN_CAP = 20_000
-_SOP_DRAWS = 3  # draws of linear forms tried before the Koszul path
+_SOP_DRAWS = 3  # linear forms tried per Artinian attempt and per regular-reduction step
 
 
 class ProxyDisagreement(SelfCheckError):
@@ -66,6 +87,9 @@ class BettiTable:
     characteristic: int
     entries: dict[tuple[int, int], int]
     j_max: int
+    # variables of the ring the table was computed in, before and after
+    # ``regular_reduction``; not part of the report
+    reduced: tuple[int, int] | None = None
 
     @property
     def pd(self) -> int:
@@ -122,23 +146,66 @@ class BettiTable:
         }
 
 
+def _divide_by_form(ideal: Ideal, coeffs: list) -> GeneratedIdeal:
+    """The image of J under x_m -> -sum_i coeffs[i] x_i (m the last
+    variable): S/J divided by x_m + sum_i coeffs[i] x_i, in one fewer
+    variable."""
+    k, fld = ideal.nvars - 1, ideal.field
+    xs = [Polynomial.variable(k, i, fld) for i in range(k)]
+    rest = sum((x.scale(c) for x, c in zip(xs, coeffs)), Polynomial.zero(k, fld))
+    assignment = dict(enumerate(xs + [-rest]))
+    return GeneratedIdeal(k, fld, [g.substitute(assignment) for g in ideal.generator_list()])
+
+
+def regular_reduction(ideal: Ideal, j_max: int) -> tuple[Ideal, list[int]]:
+    """Divide S/J by linear forms that are injective on (S/J)_t for every
+    t < j_max, one at a time, as long as one is found (module docstring).
+
+    Returns the final ideal and its Hilbert function up to j_max.  A form
+    l is accepted exactly when the quotient by l has, in every degree
+    t <= j_max, the first difference of the previous Hilbert function as
+    its dimension; candidates are the all-ones form, then seeded draws
+    with nonzero coefficients, at most ``_SOP_DRAWS`` per step.
+    """
+    qdim: list[int] = []
+    for t in range(j_max + 1):  # (S/J)_t = 0 kills every higher degree
+        qdim.append(ideal.quotient_dim(t) if not qdim or qdim[-1] else 0)
+    p = ideal.field.characteristic
+    # over QQ the draws are those of the first proxy prime
+    top = p or PROXY_PRIMES[0]
+    rng = random.Random(0)  # a fixed draw keeps every report reproducible
+    while ideal.nvars > 1 and qdim[-1] and ideal.generator_list() is not None:
+        want = [qdim[0]] + [qdim[t] - qdim[t - 1] for t in range(1, j_max + 1)]
+        if min(want) < 0:  # no form is injective where the function falls
+            break
+        for draw in range(_SOP_DRAWS):
+            coeffs = [1 if draw == 0 else rng.randrange(1, top) for _ in range(ideal.nvars - 1)]
+            image = _divide_by_form(ideal, coeffs)
+            if all(image.quotient_dim(t) == want[t] for t in range(j_max + 1)):
+                ideal, qdim = image, want
+                break
+        else:
+            break
+    return ideal, qdim
+
+
 def koszul_betti(
     ideal: Ideal,
     j_max: int,
     max_columns: int = _DEFAULT_COLUMN_CAP,
 ) -> BettiTable:
     """Betti table of R/I for internal degrees <= j_max, computed on the
-    ideal's x_n -> 0 image when it carries one.
+    ideal's x_n -> 0 image when it carries one, divided by the linear forms
+    ``regular_reduction`` finds.
 
-    ``max_columns`` caps the Koszul matrices; exceeding it raises a
-    ResourceLimitError rather than grinding.
+    ``max_columns`` caps the Koszul matrices; every chain dimension is
+    known once the Hilbert function is, so a complex past the cap raises a
+    ResourceLimitError before any matrix is built.
     """
-    work = ideal.translation_reduction() or ideal
+    start = ideal.translation_reduction() or ideal
+    work, qdim = regular_reduction(start, j_max)
     m = work.nvars
     q = QuotientRing(work)
-    qdim: list[int] = []
-    for t in range(j_max + 1):  # (R/I)_t = 0 kills every higher degree
-        qdim.append(q.quotient_dim(t) if not qdim or qdim[-1] else 0)
 
     # an Artinian quotient (the Artinian reduction, or an (n-1, 1) hook)
     # has small Koszul matrices with dense rows: over GF(p) a dense rank
@@ -152,45 +219,45 @@ def koszul_betti(
             return 0
         return comb(m, i) * qdim[t]
 
+    matrices = [
+        (i, j) for j in range(j_max + 1) for i in range(1, min(m, j) + 1)
+        if chain_dim(i, j) and chain_dim(i - 1, j)
+    ]
+    for i, j in matrices:
+        if chain_dim(i - 1, j) > max_columns:
+            raise ResourceLimitError(
+                f"Koszul matrix at (i={i}, j={j}) has {chain_dim(i - 1, j)} columns; "
+                f"cap is {max_columns}"
+            )
+
     subsets = {i: list(combinations(range(m), i)) for i in range(m + 1)}
     subset_pos = {i: {s: k for k, s in enumerate(subsets[i])} for i in range(m + 1)}
 
     ranks: dict[tuple[int, int], int] = {}
-    for j in range(j_max + 1):
-        for i in range(1, min(m, j) + 1):
-            rows_dim = chain_dim(i, j)
-            cols_dim = chain_dim(i - 1, j)
-            if rows_dim == 0 or cols_dim == 0:
-                ranks[(i, j)] = 0
-                continue
-            if cols_dim > max_columns:
-                raise ResourceLimitError(
-                    f"Koszul matrix at (i={i}, j={j}) has {cols_dim} columns; "
-                    f"cap is {max_columns}"
-                )
-            t = j - i
-            tgt_block = qdim[t + 1]
-            if dense:
-                mat = np.zeros((rows_dim, cols_dim), dtype=np.int64)
-            else:
-                ech = Echelon(work.field)
-            maps = [q.mult_map(s, t) for s in range(m)]
-            r = 0
-            for S in subsets[i]:
-                smaller = [
-                    (-1 if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
-                    for pos, s in enumerate(S)
-                ]
-                for src in range(qdim[t]):
-                    row: dict = {}
-                    for sign, s_idx, s in smaller:
-                        add_scaled(row, sign, maps[s][src], p, s_idx * tgt_block)
-                    if dense:
-                        mat[r, list(row)] = list(row.values())
-                        r += 1
-                    else:
-                        ech.insert(row)
-            ranks[(i, j)] = rank_dense_mod_p(mat, p) if dense else ech.rank
+    for i, j in matrices:
+        t = j - i
+        tgt_block = qdim[t + 1]
+        if dense:
+            mat = np.zeros((chain_dim(i, j), chain_dim(i - 1, j)), dtype=np.int64)
+        else:
+            ech = Echelon(work.field)
+        maps = [q.mult_map(s, t) for s in range(m)]
+        r = 0
+        for S in subsets[i]:
+            smaller = [
+                (-1 if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
+                for pos, s in enumerate(S)
+            ]
+            for src in range(qdim[t]):
+                row: dict = {}
+                for sign, s_idx, s in smaller:
+                    add_scaled(row, sign, maps[s][src], p, s_idx * tgt_block)
+                if dense:
+                    mat[r, list(row)] = list(row.values())
+                    r += 1
+                else:
+                    ech.insert(row)
+        ranks[(i, j)] = rank_dense_mod_p(mat, p) if dense else ech.rank
 
     entries: dict[tuple[int, int], int] = {}
     for j in range(j_max + 1):
@@ -209,6 +276,7 @@ def koszul_betti(
         characteristic=work.field.characteristic,
         entries=entries,
         j_max=j_max,
+        reduced=(start.nvars, m),
     )
 
 
@@ -439,6 +507,11 @@ def cm_verdict(
         for _ in range(3):
             table = koszul_betti(ideal, bound)
             if table.closed_off:
+                m, m_reduced = table.reduced
+                trace.append(
+                    f"Koszul ranks over {fld}: {m - m_reduced} linear form(s) divided "
+                    f"out, {m} -> {m_reduced} variables"
+                )
                 return table
             bound += 2
             trace.append(f"extending j_max to {bound} (strand not closed)")

@@ -368,7 +368,7 @@ def _cmd_catalan(args, report: Report) -> int:
         ideal = specht_ideal(Partition((n, n)), fld)
         ink = IntersectionInk(2 * n, n + 1, fld)
         # a lower bound holds only when the Specht generators lie in I_{2n,n+1}
-        if fld.characteristic == 0 and all(ink.contains(g) for g in ideal.gens):
+        if fld.characteristic == 0 and ideal.lies_in(ink):
             dims = [ink.dim(d, certified_lower=ideal.dim(d)) for d in range(n + 1)]
         else:
             dims = [ink.dim(d) for d in range(n + 1)]

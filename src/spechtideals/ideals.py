@@ -226,17 +226,33 @@ class SpechtIdeal(GeneratedIdeal):
 
     _image: GeneratedIdeal | None = None
 
+    def __init__(self, shape: Partition, fld: Field, gens):
+        super().__init__(shape.n, fld, gens)
+        self.shape = shape
+
     def translation_reduction(self) -> GeneratedIdeal | None:
         if self._image is None and self.nvars > 1:  # no ring in zero variables
             self._image = specialize_xn(self)
         return self._image
+
+    def lies_in(self, other: Ideal) -> bool:
+        """Whether I^Sp lies in ``other`` by a closed form, with no
+        membership test: I_{n,k} for k > lambda_1 contains every generator,
+        since two of any k letters share one of the lambda_1 columns of
+        its tableau (pigeonhole), and the generator has their difference
+        x_a - x_b, an element of P_F, as a factor.  False means unknown."""
+        return (
+            isinstance(other, IntersectionInk)
+            and (other.nvars, other.field) == (self.nvars, self.field)
+            and other.k > self.shape.parts[0]
+        )
 
 
 def specht_ideal(shape: Partition, fld: Field = QQ) -> SpechtIdeal:
     """The Specht ideal of the shape, generated by the standard Specht
     polynomials (which span all Specht polynomials in any characteristic)."""
     system = SpechtSystem.build(shape, fld)
-    return SpechtIdeal(shape.n, fld, [f for _, f in system.generators])
+    return SpechtIdeal(shape, fld, [f for _, f in system.generators])
 
 
 class PartitionIdealK(Ideal):
@@ -516,6 +532,8 @@ class EqualityReport:
 
 def _gen_inclusion_degree(src: Ideal, dst: Ideal, limit: int) -> float:
     """First degree at which a generator of src fails membership in dst."""
+    if isinstance(src, SpechtIdeal) and src.lies_in(dst):
+        return float("inf")
     gl = src.generator_list()
     if gl is None:
         return -1.0  # unknown: no certificate available

@@ -234,23 +234,35 @@ class Polynomial:
         for i, img in images.items():
             if img.field != fld:
                 raise ValueError("substitution image over a different field")
-        out = Polynomial.zero(target_nvars, fld)
         for i in self.variables():
             if i not in images:
                 if target_nvars != self.nvars:
                     raise ValueError(
                         "partial assignment into a ring of different dimension"
                     )
+        # each power img**e is built once, and the terms are summed in one dict
+        powers: dict[tuple[int, int], Polynomial] = {}
+        terms: dict = {}
         for m, c in self.terms.items():
             term = Polynomial.constant(target_nvars, c, fld)
             for i, e in enumerate(m):
                 if e == 0:
                     continue
-                img = images.get(i)
-                if img is None:
-                    img = Polynomial.variable(target_nvars, i, fld)
-                term = term * img**e
-            out = out + term
+                power = powers.get((i, e))
+                if power is None:
+                    img = images.get(i)
+                    if img is None:
+                        img = Polynomial.variable(target_nvars, i, fld)
+                    power = powers[(i, e)] = img**e
+                term = term * power
+            for mono, v in term.terms.items():
+                s = fld.add(terms.get(mono, 0), v)
+                if s == 0:
+                    terms.pop(mono, None)
+                else:
+                    terms[mono] = s
+        out = Polynomial.__new__(Polynomial)
+        out.nvars, out.field, out.terms, out._hash = target_nvars, fld, terms, None
         return out
 
     def evaluate(self, point):

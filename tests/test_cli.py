@@ -139,7 +139,7 @@ class TestCommands:
         # Specht generators lie in it; with that check failing, every
         # degree takes the exact rational rank and no probe prime runs
         from spechtideals.fields import QQ
-        from spechtideals.ideals import IntersectionInk
+        from spechtideals.ideals import IntersectionInk, SpechtIdeal
 
         expected, _ = run_json(["catalan", "--n", "3"])
         seen = []
@@ -149,7 +149,7 @@ class TestCommands:
             seen.append(fld)
             return orig(self, d, fld)
 
-        monkeypatch.setattr(IntersectionInk, "contains", lambda self, p: False)
+        monkeypatch.setattr(SpechtIdeal, "lies_in", lambda self, other: False)
         monkeypatch.setattr(IntersectionInk, "_collapse_rank", spy)
         payload, code = run_json(["catalan", "--n", "3"])
         assert code == 0 and payload == expected

@@ -15,8 +15,9 @@ from spechtideals.betti import (
     koszul_betti,
 )
 from spechtideals.fields import QQ, field_of
-from spechtideals.ideals import GeneratedIdeal, QuotientRing, specht_ideal
+from spechtideals.ideals import GeneratedIdeal, QuotientRing, mult_injective, specht_ideal
 from spechtideals.poly import Polynomial
+from spechtideals.specht import specht_poly_degree
 from spechtideals.tableaux import Partition
 from spechtideals.varieties import ResourceLimitError, minimal_primes
 
@@ -102,6 +103,183 @@ class TestKoszul:
         with pytest.raises(ResourceLimitError):
             koszul_betti(specht_ideal(Partition((3, 3)), F), 8, max_columns=10)
 
+    @pytest.mark.parametrize("p, cap", [(32003, 10), (2, 10), (2, 40), (3, 20)])
+    def test_column_cap_fires_before_any_matrix(self, monkeypatch, p, cap):
+        # every chain dimension is known from the Hilbert function, so the
+        # cap names the first oversized matrix without building one
+        def no_matrix(*args):
+            raise AssertionError("a Koszul matrix was built")
+
+        monkeypatch.setattr(QuotientRing, "mult_map", no_matrix)
+        ideal = specht_ideal(Partition((3, 3)), field_of(p))
+        work, qdim = betti.regular_reduction(ideal.translation_reduction(), 8)
+        m = work.nvars
+        first = next(
+            (i, j, comb(m, i - 1) * qdim[j - i + 1])
+            for j in range(9) for i in range(1, min(m, j) + 1)
+            if qdim[j - i] and comb(m, i - 1) * qdim[j - i + 1] > cap
+        )
+        with pytest.raises(ResourceLimitError) as exc:
+            koszul_betti(ideal, 8, max_columns=cap)
+        i, j, cols = first
+        assert str(exc.value) == (
+            f"Koszul matrix at (i={i}, j={j}) has {cols} columns; cap is {cap}"
+        )
+
+
+# Koszul tables at the default j_max as computed by ranking the complex of
+# the x_n -> 0 image in all n - 1 variables, before the regular reduction;
+# every case here took under 1 s that way.
+GOLDEN_TABLES = {
+    ((1, 1), 2): {(0, 0): 1, (1, 1): 1},
+    ((1, 1), 3): {(0, 0): 1, (1, 1): 1},
+    ((1, 1), 5): {(0, 0): 1, (1, 1): 1},
+    ((1, 1), 32003): {(0, 0): 1, (1, 1): 1},
+    ((2, 1), 2): {(0, 0): 1, (1, 1): 2, (2, 2): 1},
+    ((2, 1), 3): {(0, 0): 1, (1, 1): 2, (2, 2): 1},
+    ((2, 1), 5): {(0, 0): 1, (1, 1): 2, (2, 2): 1},
+    ((2, 1), 32003): {(0, 0): 1, (1, 1): 2, (2, 2): 1},
+    ((1, 1, 1), 2): {(0, 0): 1, (1, 3): 1},
+    ((1, 1, 1), 3): {(0, 0): 1, (1, 3): 1},
+    ((1, 1, 1), 5): {(0, 0): 1, (1, 3): 1},
+    ((1, 1, 1), 32003): {(0, 0): 1, (1, 3): 1},
+    ((3, 1), 2): {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1},
+    ((3, 1), 3): {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1},
+    ((3, 1), 5): {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1},
+    ((3, 1), 32003): {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1},
+    ((2, 2), 2): {(0, 0): 1, (1, 2): 2, (2, 4): 1},
+    ((2, 2), 3): {(0, 0): 1, (1, 2): 2, (2, 4): 1},
+    ((2, 2), 5): {(0, 0): 1, (1, 2): 2, (2, 4): 1},
+    ((2, 2), 32003): {(0, 0): 1, (1, 2): 2, (2, 4): 1},
+    ((2, 1, 1), 2): {(0, 0): 1, (1, 3): 3, (2, 4): 1, (2, 5): 1},
+    ((2, 1, 1), 3): {(0, 0): 1, (1, 3): 3, (2, 4): 1, (2, 5): 1},
+    ((2, 1, 1), 5): {(0, 0): 1, (1, 3): 3, (2, 4): 1, (2, 5): 1},
+    ((2, 1, 1), 32003): {(0, 0): 1, (1, 3): 3, (2, 4): 1, (2, 5): 1},
+    ((1, 1, 1, 1), 2): {(0, 0): 1, (1, 6): 1},
+    ((1, 1, 1, 1), 3): {(0, 0): 1, (1, 6): 1},
+    ((1, 1, 1, 1), 5): {(0, 0): 1, (1, 6): 1},
+    ((1, 1, 1, 1), 32003): {(0, 0): 1, (1, 6): 1},
+    ((4, 1), 2): {(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4, (4, 4): 1},
+    ((4, 1), 3): {(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4, (4, 4): 1},
+    ((4, 1), 5): {(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4, (4, 4): 1},
+    ((4, 1), 32003): {(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4, (4, 4): 1},
+    ((3, 2), 2): {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1},
+    ((3, 2), 3): {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1},
+    ((3, 2), 5): {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1},
+    ((3, 2), 32003): {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1},
+    ((3, 1, 1), 2): {
+        (0, 0): 1, (1, 3): 6, (2, 4): 4, (2, 5): 4, (3, 5): 1, (3, 6): 1, (3, 7): 1,
+    },
+    ((3, 1, 1), 3): {
+        (0, 0): 1, (1, 3): 6, (2, 4): 4, (2, 5): 4, (3, 5): 1, (3, 6): 1, (3, 7): 1,
+    },
+    ((3, 1, 1), 5): {
+        (0, 0): 1, (1, 3): 6, (2, 4): 4, (2, 5): 4, (3, 5): 1, (3, 6): 1, (3, 7): 1,
+    },
+    ((3, 1, 1), 32003): {
+        (0, 0): 1, (1, 3): 6, (2, 4): 4, (2, 5): 4, (3, 5): 1, (3, 6): 1, (3, 7): 1,
+    },
+    ((2, 2, 1), 2): {(0, 0): 1, (1, 4): 5, (2, 5): 4, (2, 6): 1, (3, 6): 1},
+    ((2, 2, 1), 3): {(0, 0): 1, (1, 4): 5, (2, 5): 4},
+    ((2, 2, 1), 5): {(0, 0): 1, (1, 4): 5, (2, 5): 4},
+    ((2, 2, 1), 32003): {(0, 0): 1, (1, 4): 5, (2, 5): 4},
+    ((2, 1, 1, 1), 2): {(0, 0): 1, (1, 6): 4, (2, 7): 1, (2, 8): 1, (2, 9): 1},
+    ((2, 1, 1, 1), 3): {(0, 0): 1, (1, 6): 4, (2, 7): 1, (2, 8): 1, (2, 9): 1},
+    ((2, 1, 1, 1), 5): {(0, 0): 1, (1, 6): 4, (2, 7): 1, (2, 8): 1, (2, 9): 1},
+    ((2, 1, 1, 1), 32003): {(0, 0): 1, (1, 6): 4, (2, 7): 1, (2, 8): 1, (2, 9): 1},
+    ((5, 1), 2): {(0, 0): 1, (1, 1): 5, (2, 2): 10, (3, 3): 10, (4, 4): 5, (5, 5): 1},
+    ((5, 1), 3): {(0, 0): 1, (1, 1): 5, (2, 2): 10, (3, 3): 10, (4, 4): 5, (5, 5): 1},
+    ((5, 1), 5): {(0, 0): 1, (1, 1): 5, (2, 2): 10, (3, 3): 10, (4, 4): 5, (5, 5): 1},
+    ((5, 1), 32003): {(0, 0): 1, (1, 1): 5, (2, 2): 10, (3, 3): 10, (4, 4): 5, (5, 5): 1},
+    ((4, 2), 2): {(0, 0): 1, (1, 2): 9, (2, 3): 16, (3, 4): 9, (4, 6): 1},
+    ((4, 2), 3): {(0, 0): 1, (1, 2): 9, (2, 3): 16, (3, 4): 9, (4, 6): 1},
+    ((4, 2), 5): {(0, 0): 1, (1, 2): 9, (2, 3): 16, (3, 4): 9, (4, 6): 1},
+    ((4, 2), 32003): {(0, 0): 1, (1, 2): 9, (2, 3): 16, (3, 4): 9, (4, 6): 1},
+    ((4, 1, 1), 2): {
+        (0, 0): 1, (1, 3): 10, (2, 4): 10, (2, 5): 10, (3, 5): 5, (3, 6): 5, (3, 7): 5,
+        (4, 6): 1, (4, 7): 1, (4, 8): 1,
+    },
+    ((4, 1, 1), 3): {
+        (0, 0): 1, (1, 3): 10, (2, 4): 10, (2, 5): 10, (3, 5): 5, (3, 6): 5, (3, 7): 5,
+        (4, 6): 1, (4, 7): 1, (4, 8): 1,
+    },
+    ((4, 1, 1), 5): {
+        (0, 0): 1, (1, 3): 10, (2, 4): 10, (2, 5): 10, (3, 5): 5, (3, 6): 5, (3, 7): 5,
+        (4, 6): 1, (4, 7): 1, (4, 8): 1,
+    },
+    ((4, 1, 1), 32003): {
+        (0, 0): 1, (1, 3): 10, (2, 4): 10, (2, 5): 10, (3, 5): 5, (3, 6): 5, (3, 7): 5,
+        (4, 6): 1, (4, 7): 1, (4, 8): 1,
+    },
+    ((3, 3), 2): {(0, 0): 1, (1, 3): 5, (2, 5): 9, (3, 6): 5, (3, 7): 1, (4, 7): 1},
+    ((3, 3), 3): {(0, 0): 1, (1, 3): 5, (2, 5): 9, (3, 6): 5},
+    ((3, 3), 5): {(0, 0): 1, (1, 3): 5, (2, 5): 9, (3, 6): 5},
+    ((3, 3), 32003): {(0, 0): 1, (1, 3): 5, (2, 5): 9, (3, 6): 5},
+    ((3, 2, 1), 2): {(0, 0): 1, (1, 4): 16, (2, 5): 24, (3, 6): 5, (3, 7): 5, (4, 9): 1},
+    ((3, 2, 1), 3): {
+        (0, 0): 1, (1, 4): 16, (2, 5): 24, (3, 6): 5, (3, 7): 6, (3, 8): 1, (4, 7): 1,
+        (4, 8): 1, (4, 9): 1,
+    },
+}
+
+
+class TestRegularReduction:
+    @pytest.mark.parametrize("parts, p", sorted(GOLDEN_TABLES))
+    def test_golden_table(self, parts, p):
+        # beta_{i,j} does not depend on the bound, so a smaller bound must
+        # give the golden table cut at that degree; a form accepted without
+        # its check at degree j_max itself breaks the top strand
+        shape = Partition(parts)
+        ideal = specht_ideal(shape, field_of(p))
+        golden = GOLDEN_TABLES[parts, p]
+        for j_max in range(specht_poly_degree(shape), default_j_max(shape) + 1):
+            table = koszul_betti(ideal, j_max)
+            assert table.entries == {key: v for key, v in golden.items() if key[1] <= j_max}
+
+    @pytest.mark.parametrize("parts, p, reduced", [
+        ((3, 3), 2, (5, 4)),  # every GF(2) form lies in a minimal prime
+        ((3, 3), 32003, (5, 3)),  # down to an Artinian quotient
+        ((5, 2), 3, (6, 5)),
+        ((4, 1, 1), 2, (5, 5)),  # some block always has coefficient sum 0
+        ((2, 2, 1), 3, (4, 3)),
+    ])
+    def test_accepted_forms_are_injective_below_j_max(self, monkeypatch, parts, p, reduced):
+        shape = Partition(parts)
+        j_max = default_j_max(shape)
+        steps = []
+        real = betti._divide_by_form
+
+        def spy(ideal, coeffs):
+            image = real(ideal, coeffs)
+            steps.append((ideal, coeffs, image))
+            return image
+
+        monkeypatch.setattr(betti, "_divide_by_form", spy)
+        start = specht_ideal(shape, field_of(p)).translation_reduction()
+        work, qdim = betti.regular_reduction(start, j_max)
+        assert (start.nvars, work.nvars) == reduced
+        assert qdim == [work.quotient_dim(t) for t in range(j_max + 1)]
+        accepted = [s for s in steps if any(t[0] is s[2] for t in steps) or s[2] is work]
+        assert len(accepted) == start.nvars - work.nvars
+        for ideal, coeffs, image in accepted:
+            # the quotient's Hilbert function is the first difference ...
+            h = [ideal.quotient_dim(t) for t in range(j_max + 1)]
+            assert [image.quotient_dim(t) for t in range(j_max + 1)] == [
+                h[t] - (h[t - 1] if t else 0) for t in range(j_max + 1)
+            ]
+            # ... exactly because the form is injective below j_max
+            k = ideal.nvars
+            form = Polynomial.variable(k, k - 1, ideal.field)
+            for a, c in enumerate(coeffs):
+                form = form + Polynomial.variable(k, a, ideal.field).scale(c)
+            for t in range(j_max):
+                assert mult_injective(form, ideal, t).injective
+
+    def test_artinian_quotient_is_not_reduced(self):
+        # the Artinian reduction's quotient is zero in degree j_max already
+        table = koszul_betti(maximal_ideal(4), 5)
+        assert table.reduced == (4, 4)
+
 
 class TestCmVerdict:
     def test_two_row_gorenstein(self):
@@ -141,6 +319,15 @@ class TestCmVerdict:
     def test_closed_off_reported(self):
         v = cm_verdict(Partition((3, 3)), 2)
         assert v.table.closed_off
+
+    def test_trace_names_the_regular_reduction(self):
+        v = cm_verdict(Partition((3, 3)), 2)
+        assert v.trace == ["Koszul ranks over GF(2): 1 linear form(s) divided out, 5 -> 4 variables"]
+        v = cm_verdict(Partition((3, 3)), 0, j_max=8)
+        assert v.trace == [
+            f"Koszul ranks over GF({p}): 2 linear form(s) divided out, 5 -> 3 variables"
+            for p in PROXY_PRIMES
+        ]
 
     def test_default_j_max_covers_fixture(self):
         assert default_j_max(Partition((3, 3))) >= 8

@@ -259,14 +259,20 @@ class TestEquality:
             )
 
     def test_pigeonhole_inclusion(self):
-        # every Specht generator lies in I_{n, l1+1}
-        for n in range(3, 7):
+        # every Specht generator lies in I_{n,k} for k > lambda_1, and
+        # SpechtIdeal.lies_in says so in closed form, with no membership
+        # test; for k <= lambda_1 it claims nothing
+        for n in range(2, 7):
             for lam in enumerate_partitions(n):
                 if lam.is_trivial:
                     continue
-                ink = IntersectionInk(n, lam.parts[0] + 1, QQ)
-                for g in specht_ideal(lam).gens:
-                    assert ink.contains(g)
+                ideal = specht_ideal(lam)
+                for k in range(2, n + 1):
+                    ink = IntersectionInk(n, k, QQ)
+                    assert ideal.lies_in(ink) == (k > lam.parts[0])
+                    if k > lam.parts[0]:
+                        assert all(ink.contains(g) for g in ideal.gens)
+                assert not ideal.lies_in(IntersectionInk(n, n, field_of(2)))
 
 
 class TestSpecialize:

@@ -1,0 +1,46 @@
+"""The Koszul-path reports of the cm-grid workload stay byte-identical.
+
+Every ``cm-check`` and ``betti`` query of the benchmark's cm-grid workload
+(``perfbench/workloads.py``) is run through ``cli.run`` and rendered the
+way the benchmark worker renders it.  A change to the Koszul path that
+alters one of these reports, an entry, a flag or a provenance string,
+fails here before the benchmark sees it.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from spechtideals import cli
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# sha256 of the rendered reports and exit codes the queries give
+_DIGEST = "a5dd0eddda98ef8feea059ac27fcd2ef84133e4cd3aa82478633bde00aab6ca0"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _PERFBENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def report_digest() -> str:
+    wl = _workloads().WORKLOADS["cm-grid"]
+    argvs = sorted({
+        tuple(q["argv"]) for q in wl.once + wl.fixed
+        if q["kind"] == "cli" and q["argv"][0] in ("cm-check", "betti")
+    })
+    out = []
+    for argv in argvs:
+        report, code = cli.run(list(argv))
+        out.append([list(argv), code, report.render(report.config.output_format)])
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def test_cm_grid_reports_unchanged():
+    assert report_digest() == _DIGEST
