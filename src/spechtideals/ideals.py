@@ -8,7 +8,7 @@ are exact; components are computed lazily per degree, and every kind's
 (``_per_degree``), so a repeat call returns the same GradedBasis.  All
 elimination runs in :mod:`linalg`.
 
-Three structural accelerations, each backed by a standard fact:
+Four structural accelerations, each backed by a standard fact:
 
 * every Specht polynomial is a product of differences x_a - x_b, so a
   polynomial in the x_i - x_n, and x_n is regular on R/I^Sp in every
@@ -27,7 +27,20 @@ Three structural accelerations, each backed by a standard fact:
   dim (I_{n,k})_d which, when it meets a lower bound coming from an
   included subideal, pins the exact dimension without rational
   elimination.  If the bounds do not meet, the exact fraction-free
-  elimination runs at once; no second prime is tried.
+  elimination runs at once; no second prime is tried;
+* a generated ideal builds I_d from the echelon basis of I_{d-1} without
+  most of the dependent products (Buchberger's chain criterion,
+  Gebauer-Moeller).  Columns are in lex order, so lm(x_i b) = x_i lm(b).
+  Let x_i b and x_{i*} b* (i* the largest such index) share the leading
+  monomial u, and let c in I_{d-2} have leading monomial
+  w = lm(b)/x_{i*} = u/(x_i x_{i*}).  Expanding x_{i*} c and x_i c in the
+  basis of I_{d-1}, whose rows have distinct leading monomials, the
+  identity x_i (x_{i*} c) = x_{i*} (x_i c) reads
+  gamma' x_i b = gamma x_{i*} b* + (products with leading monomial below u),
+  with gamma, gamma' nonzero.  By induction on u, x_i b is in the span of
+  the inserted products and need not be inserted.  The argument holds
+  over any field and for generators in mixed degrees, and the reduced
+  echelon rows, being canonical, are those of all the products.
 
 Collapse ranks of I_{n,k} take one path: ``_collapse_rank`` ranks the
 reduced incidence rows by sparse exact elimination over the given field.
@@ -154,15 +167,38 @@ class GeneratedIdeal(Ideal):
 
     # -- incremental echelons -------------------------------------------
     def _echelon(self, d: int) -> Echelon:
+        """Reduced echelon basis of I_d, keyed by pivot (leading) column.
+
+        I_d is spanned by the products x_i b, b a row of I_{d-1}, and the
+        degree-d generators.  Columns are in lex order, a monomial order,
+        so lm(x_i b) = x_i lm(b).  Of the products sharing a leading
+        monomial u, the one with the largest i (x_{i*} b*) is inserted;
+        another, x_i b, is skipped when lm(b)/x_{i*} is a pivot of
+        I_{d-2} (Buchberger's chain criterion, see the module docstring),
+        since it then lies in the span of x_{i*} b* and products with
+        leading monomial below u.  The span, hence the canonical reduced
+        rows, is that of all the products.
+        """
         ech = self._ech.get(d)
         if ech is not None:
             return ech
         ech = Echelon(self.field)
         if d > 0 and (self._by_degree and min(self._by_degree) < d):
             prev = self._echelon(d - 1)
-            tables = [_mult_table(self.nvars, d - 1, i) for i in range(self.nvars)]
-            for row in prev.rows.values():
-                for table in tables:
+            n = self.nvars
+            tables = [_mult_table(n, d - 1, i) for i in range(n)]
+            # leading column u -> largest i with u = x_i lm(b) (later i overwrite)
+            top = {t[piv]: i for i, t in enumerate(tables) for piv in prev.rows}
+            # explained[j]: the lm(b) with lm(b)/x_j a leading monomial of I_{d-2}
+            low = self._echelon(d - 2).rows if d >= 2 else {}
+            explained = [
+                {_mult_table(n, d - 2, j)[w] for w in low} for j in range(n)
+            ]
+            for piv, row in prev.rows.items():
+                for i, table in enumerate(tables):
+                    j = top[table[piv]]
+                    if j != i and piv in explained[j]:
+                        continue
                     ech.insert({table[c]: v for c, v in row.items()})
         for g in self._by_degree.get(d, ()):  # new generators at this degree
             ech.insert(poly_to_row(g, d))

@@ -301,7 +301,7 @@ _MAX_STRAIGHTEN_DEPTH = 10_000
 
 def _straighten(cls: TwoRowClass, k: int, coeff: int, acc: dict, depth: int):
     if depth > _MAX_STRAIGHTEN_DEPTH:
-        raise RuntimeError("straightening recursion exceeded its depth bound")
+        raise SelfCheckError("straightening recursion exceeded its depth bound")
     bots_pref, mid, singles = frame_parts(cls, k)
     mid_bots = [hi for _, hi in mid]
     for idx in range(1, len(mid)):
@@ -449,7 +449,7 @@ class MembershipCertificate:
 
     def __post_init__(self):
         if not self.verify():
-            raise RuntimeError("certificate failed symbolic verification")
+            raise SelfCheckError("certificate failed symbolic verification")
 
     def reconstruction(self) -> Polynomial:
         fld, n = self.target.field, self.target.nvars

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spechtideals import betti, cli, varieties
+from spechtideals import betti, cli, specht, varieties
 from spechtideals.betti import ProxyDisagreement, SelfCheckError
 from spechtideals.cli import _COMMANDS, run
 
@@ -387,6 +387,13 @@ class TestInternalError:
         payload, code = run_json(["cm-check", "--shape", "2,2"])
         assert code == 4
         assert "pd 5 != lambda_1" in verdict(payload, "internal_error")
+
+    def test_straightening_depth_bound(self, monkeypatch):
+        monkeypatch.setattr(specht, "_MAX_STRAIGHTEN_DEPTH", -1)
+        payload, code = run_json(["straighten", "--tableau", "1,4,2/5,3", "--prefix", "1"])
+        assert code == 4
+        assert [v["name"] for v in payload["verdicts"]] == ["internal_error"]
+        assert "depth bound" in verdict(payload, "internal_error")
 
     def test_purity_closed_form_disagreement(self, monkeypatch):
         # the purity verdict is checked against the closed form; a

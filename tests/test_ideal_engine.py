@@ -1,9 +1,11 @@
 """Ideal components, Hilbert functions, equality, specialization, socle."""
 
+import random
 from math import comb
 
 import pytest
 
+from spechtideals import betti
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import (
     GeneratedIdeal,
@@ -12,6 +14,7 @@ from spechtideals.ideals import (
     QuotientRing,
     SquarefreeDegreeIdeal,
     SumIdealGeneric,
+    _mult_table,
     clique_ideal,
     equal_up_to_degree,
     hilbert_function,
@@ -23,8 +26,8 @@ from spechtideals.ideals import (
     specialize_xn,
     sum_ideal,
 )
-from spechtideals.linalg import intersect_spans
-from spechtideals.poly import Polynomial, dim_degree
+from spechtideals.linalg import Echelon, intersect_spans
+from spechtideals.poly import Polynomial, dim_degree, monomials_of_degree, poly_to_row
 from spechtideals.specht import AA1FrJ, TwoRowFrJ
 from spechtideals.tableaux import Partition, enumerate_partitions
 
@@ -273,6 +276,91 @@ class TestEquality:
                     if k > lam.parts[0]:
                         assert all(ink.contains(g) for g in ideal.gens)
                 assert not ideal.lies_in(IntersectionInk(n, n, field_of(2)))
+
+
+def _all_products(ideal, d_max):
+    """Reference echelons of I_0..I_{d_max}: each degree spanned by every
+    product x_i b of the previous degree's rows, plus its generators.
+
+    Returns the echelons and the number of inserts that added nothing.
+    """
+    echs, dependent = [], 0
+    for d in range(d_max + 1):
+        ech = Echelon(ideal.field)
+        rows = [poly_to_row(g, d) for g in ideal.gens if g.homogeneous_degree() == d]
+        if d:
+            tables = [_mult_table(ideal.nvars, d - 1, i) for i in range(ideal.nvars)]
+            rows = [
+                {t[c]: v for c, v in row.items()}
+                for row in echs[-1].rows.values()
+                for t in tables
+            ] + rows
+        for row in rows:
+            dependent += ech.insert(row) is None
+        echs.append(ech)
+    return echs, dependent
+
+
+def _assert_matches_all_products(ideal, d_max):
+    ref, _ = _all_products(ideal, d_max)
+    for d in range(d_max + 1):
+        assert ideal._echelon(d).rows == ref[d].rows, d
+
+
+def _random_ideal(rng, fld):
+    nvars = rng.randint(2, 4)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        monos = monomials_of_degree(nvars, rng.randint(1, 3))
+        support = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+        gens.append(Polynomial(nvars, fld, {m: rng.randint(-3, 3) for m in support}))
+    return GeneratedIdeal(nvars, fld, [g for g in gens if not g.is_zero()])
+
+
+class TestPrunedEchelon:
+    """``GeneratedIdeal._echelon`` skips the products that Buchberger's chain
+    criterion explains; its rows must equal those of all products."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [s for n in range(2, 8) for s in enumerate_partitions(n) if not s.is_trivial],
+        ids=Partition.text,
+    )
+    def test_specht_images(self, shape):
+        for p in (0, 2, 3, 32003):
+            image = specht_ideal(shape, field_of(p)).translation_reduction()
+            _assert_matches_all_products(image, 7)
+
+    def test_regular_reduction_quotient(self):
+        image = specht_ideal(Partition((3, 3)), field_of(32003)).translation_reduction()
+        work, _ = betti.regular_reduction(image, 8)
+        assert work.nvars < image.nvars  # at least one form was accepted
+        _assert_matches_all_products(work, 8)
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_random_mixed_degrees(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(60):
+            _assert_matches_all_products(_random_ideal(rng, field_of(p)), 6)
+
+    def test_fewer_dependent_inserts(self, monkeypatch):
+        # the pruning must stay: fewer than half the all-products
+        # build's dependent inserts (the counts repeat exactly)
+        d_max = 10
+        image = specht_ideal(Partition((3, 3)), field_of(32003)).translation_reduction()
+        _, reference = _all_products(image, d_max)
+        dependent = 0
+        insert = Echelon.insert
+
+        def counting(self, row):
+            nonlocal dependent
+            pivot = insert(self, row)
+            dependent += pivot is None
+            return pivot
+
+        monkeypatch.setattr(Echelon, "insert", counting)
+        image._echelon(d_max)
+        assert dependent < reference / 2, (dependent, reference)
 
 
 class TestSpecialize:

@@ -9,6 +9,8 @@ from spechtideals.linalg import echelon_span, span_and_kernel
 from spechtideals.poly import Polynomial, mono_mul, mono_support
 from spechtideals.specht import (
     AA1FrJ,
+    MembershipCertificate,
+    SelfCheckError,
     SpechtSystem,
     TwoRowClass,
     TwoRowFrJ,
@@ -359,6 +361,12 @@ class TestReplay:
         cert = replay_radical_reduction(shape, 1, combo, QQ)
         text = cert.trace_text()
         assert "op1" in text and "h-relation ok" in text
+
+    def test_failed_verification_is_a_self_check(self, monkeypatch):
+        # a certificate whose identity does not hold is an internal fault
+        monkeypatch.setattr(MembershipCertificate, "verify", lambda self: False)
+        with pytest.raises(SelfCheckError, match="symbolic verification"):
+            replay_radical_reduction(Partition((3, 2)), 1, {}, QQ)
 
 
 class TestHStandardIndependence:
