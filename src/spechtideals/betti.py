@@ -26,6 +26,9 @@ no candidate passes, when the quotient vanishes in degree j_max, or at
 one variable.  The Koszul matrices are then ranked in the fewer
 variables that remain, and since every chain dimension follows from the
 Hilbert function, the column cap is checked before any matrix is built.
+When the reduction ends at an Artinian quotient of top degree s in m
+variables, its socle gives Koszul homology in degree m + s, so the table
+is ``closed_off`` only when m + s <= j_max.
 
 In characteristic 0, ``cm_verdict`` first tries a certified Artinian
 reduction (Serre's multiplicity criterion, Bruns-Herzog 4.7), in
@@ -90,6 +93,9 @@ class BettiTable:
     # variables of the ring the table was computed in, before and after
     # ``regular_reduction``; not part of the report
     reduced: tuple[int, int] | None = None
+    # m + s when that ring's quotient is Artinian with top degree s in m
+    # variables: its socle, the last Koszul homology, reaches degree m + s
+    artinian_end: int | None = None
 
     @property
     def pd(self) -> int:
@@ -97,8 +103,11 @@ class BettiTable:
 
     @property
     def closed_off(self) -> bool:
-        """No entry sits on the top computed degree, so the strands ended."""
-        return all(j < self.j_max for (_, j) in self.entries)
+        """No entry sits on the top computed degree, so the strands ended,
+        and an Artinian quotient's socle lies within the computed degrees."""
+        return all(j < self.j_max for (_, j) in self.entries) and (
+            self.artinian_end is None or self.artinian_end <= self.j_max
+        )
 
     def totals(self) -> list[int]:
         out = [0] * (self.pd + 1)
@@ -277,6 +286,7 @@ def koszul_betti(
         entries=entries,
         j_max=j_max,
         reduced=(start.nvars, m),
+        artinian_end=m + max(t for t, v in enumerate(qdim) if v) if qdim[-1] == 0 else None,
     )
 
 
@@ -322,7 +332,6 @@ class CmVerdict:
     is_gorenstein: bool
     table: BettiTable
     certificate: Certificate
-    proxy_primes: tuple[int, ...] = ()
     trace: list[str] = dc_field(default_factory=list)
 
 
@@ -417,9 +426,12 @@ def artinian_reduction(
         measured["multiplicity"] = e_v = sum(1 for pi in primes if pi.height == lam1)
         if e_v << lam1 > _DEFAULT_COLUMN_CAP:
             # a certified quotient has length e(V), so its Koszul complex
-            # has e(V) 2^lambda_1 basis elements: past the column cap the
-            # attempt costs more than the Koszul path's refusal, (5,1,1,1)
-            # 23 s for the Hilbert function alone against a 6 s refusal
+            # has e(V) 2^lambda_1 basis elements, past the column cap, and
+            # for (5,1,1,1) its Hilbert function alone takes 23 s.  The
+            # Koszul path that runs instead does not refuse quickly either:
+            # it computes the regular reduction's Hilbert functions up to
+            # j_max before its own cap can fire, and (5,1,1,1) runs there
+            # for more than 400 s (ROADMAP item 6)
             trace.append(
                 f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
             )
@@ -544,9 +556,6 @@ def cm_verdict(
                     f"rational table disagrees with proxies for {shape}"
                 )
             trace.append("exact rational table agrees with both proxies")
-        proxy = PROXY_PRIMES
-    else:
-        proxy = ()
 
     pd = table.pd
     depth = n - pd
@@ -568,6 +577,5 @@ def cm_verdict(
         certificate=Certificate(
             kind, provenance, tuple(map(repr, fields)), table.j_max, **measured
         ),
-        proxy_primes=proxy,
         trace=trace,
     )

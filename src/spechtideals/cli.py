@@ -365,13 +365,8 @@ def _cmd_catalan(args, report: Report) -> int:
     )
     ok = r_even == cn and r_odd == cn
     if n <= 5:
-        ideal = specht_ideal(Partition((n, n)), fld)
         ink = IntersectionInk(2 * n, n + 1, fld)
-        # a lower bound holds only when the Specht generators lie in I_{2n,n+1}
-        if fld.characteristic == 0 and ideal.lies_in(ink):
-            dims = [ink.dim(d, certified_lower=ideal.dim(d)) for d in range(n + 1)]
-        else:
-            dims = [ink.dim(d) for d in range(n + 1)]
+        dims = [ink.dim(d) for d in range(n + 1)]
         mu = dims[n]
         report.add(
             "minimal_generators_I_2n_n1",

@@ -12,8 +12,7 @@ from fractions import Fraction
 _MAX_PRIME = 1 << 31
 
 # Two large primes that stand in for characteristic 0: Betti tables are
-# computed over both and must agree, and I_{n,k} dimensions over the
-# rationals are probed with a collapse rank over the first.
+# computed over both and must agree.
 PROXY_PRIMES = (32003, 1000003)
 
 
@@ -63,10 +62,6 @@ class Field:
     @property
     def zero(self):
         return 0
-
-    @property
-    def one(self):
-        return 1
 
     def of(self, value):
         """Coerce an int or Fraction into this field."""

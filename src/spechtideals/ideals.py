@@ -8,7 +8,7 @@ are exact; components are computed lazily per degree, and every kind's
 (``_per_degree``), so a repeat call returns the same GradedBasis.  All
 elimination runs in :mod:`linalg`.
 
-Four structural accelerations, each backed by a standard fact:
+Three structural accelerations, each backed by a standard fact:
 
 * every Specht polynomial is a product of differences x_a - x_b, so a
   polynomial in the x_i - x_n, and x_n is regular on R/I^Sp in every
@@ -20,14 +20,7 @@ Four structural accelerations, each backed by a standard fact:
   I_{n,k} in every characteristic (flat base change): its degree-d
   collapse rank is the sum over e <= d of the degree-e incidence ranks of
   phi(I_{n,k}), an intersection of collapse kernels and coordinate ideals
-  in n-1 variables, and each of those ranks is computed once per degree
-  and field;
-* for I_{n,k} over the rationals, a mod-p collapse rank over the first of
-  the ``fields.PROXY_PRIMES`` gives a certified upper bound on
-  dim (I_{n,k})_d which, when it meets a lower bound coming from an
-  included subideal, pins the exact dimension without rational
-  elimination.  If the bounds do not meet, the exact fraction-free
-  elimination runs at once; no second prime is tried;
+  in n-1 variables, and each of those ranks is computed once per degree;
 * a generated ideal builds I_d from the echelon basis of I_{d-1} without
   most of the dependent products (Buchberger's chain criterion,
   Gebauer-Moeller).  Columns are in lex order, so lm(x_i b) = x_i lm(b).
@@ -42,8 +35,9 @@ Four structural accelerations, each backed by a standard fact:
   over any field and for generators in mixed degrees, and the reduced
   echelon rows, being canonical, are those of all the products.
 
-Collapse ranks of I_{n,k} take one path: ``_collapse_rank`` ranks the
-reduced incidence rows by sparse exact elimination over the given field.
+Collapse ranks of I_{n,k} take one path: ``IntersectionInk.dim`` ranks
+the reduced incidence rows by sparse exact elimination over the ideal's
+field.
 The full n-variable incidence, ``IntersectionInk._incidence``, serves only
 ``component``, whose null space separating polynomials and normal forms
 need.
@@ -56,7 +50,7 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 
-from .fields import PROXY_PRIMES, Field, QQ, field_of
+from .fields import Field, QQ
 from .linalg import (
     Echelon,
     GradedBasis,
@@ -276,7 +270,9 @@ class SpechtIdeal(GeneratedIdeal):
         membership test: I_{n,k} for k > lambda_1 contains every generator,
         since two of any k letters share one of the lambda_1 columns of
         its tableau (pigeonhole), and the generator has their difference
-        x_a - x_b, an element of P_F, as a factor.  False means unknown."""
+        x_a - x_b, an element of P_F, as a factor.  False means unknown.
+        ``equal_up_to_degree`` uses it in place of the generator membership
+        tests."""
         return (
             isinstance(other, IntersectionInk)
             and (other.nvars, other.field) == (self.nvars, self.field)
@@ -374,8 +370,7 @@ class IntersectionInk(Ideal):
         self.k = k
         self.subsets = list(combinations(range(1, nvars + 1), k))
         self.cliques = [clique_ideal(nvars, F, fld) for F in self.subsets]
-        self._dim_cache: dict[int, int] = {}
-        self._reduced_ranks: dict[tuple[int, Field], int] = {}
+        self._reduced_ranks: dict[int, int] = {}
 
     # -- membership -------------------------------------------------------
     def contains(self, p: Polynomial) -> bool:
@@ -389,24 +384,16 @@ class IntersectionInk(Ideal):
         null space of these rows."""
         return [dict.fromkeys(group, 1) for cl in self.cliques for group in cl._fibers(d)]
 
-    def _collapse_rank(self, d: int, fld: Field) -> int:
-        """Rank of the degree-d incidence rows over fld, i.e. dim (R/I_{n,k})_d.
-
-        R/I_{n,k} is (S/J)[x_n] for S = K[x_1..x_{n-1}] and J the image of
-        I_{n,k} under x_n -> 0, so the rank is the sum of J's incidence
-        ranks in degrees e <= d."""
-        return sum(self._reduced_rank(e, fld) for e in range(d + 1))
-
-    def _reduced_rank(self, e: int, fld: Field) -> int:
-        """Rank over fld of J's degree-e incidence in n-1 variables.
+    def _reduced_rank(self, e: int) -> int:
+        """Rank of J's degree-e incidence in n-1 variables, J the image of
+        I_{n,k} under x_n -> 0.
 
         A clique F without n keeps its collapse fibers; one with n becomes
         the coordinate ideal (x_i : i in F - {n}), one singleton fiber per
         monomial avoiding those letters.  A monomial avoids some k-1 of the
         n-1 letters exactly when at most n-k letters divide it, so those
         columns are pinned and the fibers are ranked on the other columns."""
-        key = (e, fld)
-        if key not in self._reduced_ranks:
+        if e not in self._reduced_ranks:
             m = self.nvars - 1
             pinned = {
                 j for j, mono in enumerate(monomials_of_degree(m, e))
@@ -417,27 +404,14 @@ class IntersectionInk(Ideal):
                 for F in combinations(range(1, m + 1), self.k)
                 for group in clique_ideal(m, F)._fibers(e)
             ]
-            self._reduced_ranks[key] = len(pinned) + rank_sparse(rows, fld)
-        return self._reduced_ranks[key]
+            self._reduced_ranks[e] = len(pinned) + rank_sparse(rows, self.field)
+        return self._reduced_ranks[e]
 
-    def dim(self, d: int, certified_lower: int | None = None) -> int:
-        if d in self._dim_cache:
-            return self._dim_cache[d]
-        total = dim_degree(self.nvars, d)
-        val = None
-        if self.field.characteristic == 0 and certified_lower is not None:
-            # mod-p rank <= rational rank, so total - rank_p is an upper
-            # bound for the kernel dimension; meeting the lower bound
-            # certifies exactness.  On a miss a second prime rarely helps
-            # (when the subideal is strictly smaller every prime misses),
-            # so the exact rank runs at once.
-            upper = total - self._collapse_rank(d, field_of(PROXY_PRIMES[0]))
-            if upper == certified_lower:
-                val = upper
-        if val is None:
-            val = total - self._collapse_rank(d, self.field)
-        self._dim_cache[d] = val
-        return val
+    def dim(self, d: int) -> int:
+        """dim (I_{n,k})_d.  R/I_{n,k} is (S/J)[x_n] for S = K[x_1..x_{n-1}],
+        so the degree-d collapse rank is the sum of J's ranks in degrees
+        e <= d."""
+        return dim_degree(self.nvars, d) - sum(self._reduced_rank(e) for e in range(d + 1))
 
     @_per_degree
     def component(self, d: int) -> GradedBasis:
@@ -601,10 +575,7 @@ def equal_up_to_degree(left: Ideal, right: Ideal, d_bound: int) -> EqualityRepor
     dims_r: list[int] = []
     for d in range(d_bound + 1):
         a = left.dim(d)
-        if isinstance(right, IntersectionInk) and incl_lr == float("inf"):
-            b = right.dim(d, certified_lower=a)
-        else:
-            b = right.dim(d)
+        b = right.dim(d)
         dims_l.append(a)
         dims_r.append(b)
         if a == b:

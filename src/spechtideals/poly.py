@@ -196,9 +196,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=mono_key)
 
-    def coefficient(self, m: Monomial):
-        return self.terms.get(tuple(m), 0)
-
     def variables(self) -> frozenset:
         out = set()
         for m in self.terms:

@@ -97,6 +97,10 @@ class TestCommands:
         assert code == 0
         assert payload["tables"]["betti"]["totals"] == [1, 5, 9, 6, 1]
 
+    def test_betti_artinian_socle_past_the_bound(self):
+        payload, _ = run_json(["betti", "--shape", "6,2", "--char", "3"])
+        assert payload["tables"]["betti"]["closed_off"] is False
+
     def test_betti_m2_format(self):
         report, code = run(["betti", "--shape", "3,3", "--char", "2", "--format", "m2"])
         assert code == 0
@@ -134,26 +138,27 @@ class TestCommands:
         assert verdict(payload, "minimal_generators_I_2n_n1") == 14
         assert payload["tables"]["intersection_dims"][:4] == [0, 0, 0, 0]
 
-    def test_catalan_without_inclusion_takes_the_exact_rank(self, monkeypatch):
-        # the Specht dimensions bound I_{2n,n+1} from below only when the
-        # Specht generators lie in it; with that check failing, every
-        # degree takes the exact rational rank and no probe prime runs
+    @pytest.mark.parametrize(
+        "argv", [["catalan", "--n", "3"], ["radical-check", "--shape", "3,3", "--max-deg", "6"]]
+    )
+    def test_char0_collapse_ranks_are_over_qq(self, monkeypatch, argv):
+        # over the rationals every collapse rank of I_{n,k} is the exact
+        # rational one: no prime field stands in for it
+        from spechtideals import ideals
         from spechtideals.fields import QQ
-        from spechtideals.ideals import IntersectionInk, SpechtIdeal
 
-        expected, _ = run_json(["catalan", "--n", "3"])
+        expected, code = run_json(argv)
         seen = []
-        orig = IntersectionInk._collapse_rank
+        orig = ideals.rank_sparse
 
-        def spy(self, d, fld):
+        def spy(rows, fld):
             seen.append(fld)
-            return orig(self, d, fld)
+            return orig(rows, fld)
 
-        monkeypatch.setattr(SpechtIdeal, "lies_in", lambda self, other: False)
-        monkeypatch.setattr(IntersectionInk, "_collapse_rank", spy)
-        payload, code = run_json(["catalan", "--n", "3"])
+        monkeypatch.setattr(ideals, "rank_sparse", spy)
+        payload, _ = run_json(argv)
         assert code == 0 and payload == expected
-        assert seen == [QQ] * 4
+        assert seen and set(seen) == {QQ}
 
     def test_straighten(self):
         payload, code = run_json(

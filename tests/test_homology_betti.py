@@ -320,6 +320,17 @@ class TestCmVerdict:
         v = cm_verdict(Partition((3, 3)), 2)
         assert v.table.closed_off
 
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_artinian_socle_past_the_bound_is_not_closed_off(self, p):
+        # (6,2) over GF(p) reduces to an Artinian quotient in m = 6
+        # variables with top degree s = 2; its socle gives beta_{6,8} at
+        # m + s = 8, past the default j_max 7, so the bound is extended
+        table = koszul_betti(specht_ideal(Partition((6, 2)), field_of(p)), 7)
+        assert table.artinian_end == 8 and not table.closed_off
+        v = cm_verdict(Partition((6, 2)), p)
+        assert v.is_cm and v.pd == 6
+        assert v.table.entry(6, 8) == 1 and v.table.closed_off
+
     def test_trace_names_the_regular_reduction(self):
         v = cm_verdict(Partition((3, 3)), 2)
         assert v.trace == ["Koszul ranks over GF(2): 1 linear form(s) divided out, 5 -> 4 variables"]

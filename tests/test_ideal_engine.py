@@ -89,8 +89,6 @@ class TestComponents:
         for fld in (gf, QQ):
             ink = IntersectionInk(n, k, fld)
             assert [ink.dim(d) for d in range(d_max + 1)] == dense
-        probed = IntersectionInk(n, k, QQ)  # certified through sparse GF(p) probes
-        assert [probed.dim(d, certified_lower=v) for d, v in enumerate(dense)] == dense
         for fld in (QQ, field_of(2), field_of(3)):
             # the n-1 variable ranks against the full n-variable null space
             ink = IntersectionInk(n, k, fld)
@@ -108,22 +106,6 @@ class TestComponents:
             for d in range(8):
                 assert vandermonde.dim(d) == dim_degree(n, d - comb(n, 2))
                 assert diagonal.quotient_dim(d) == 1
-
-    def test_probe_miss_goes_to_the_exact_rank(self, monkeypatch):
-        # a lower bound below the true dimension: the one probe misses and
-        # the exact rank settles it, with no second prime tried
-        true_dim = IntersectionInk(5, 3, QQ).dim(4)
-        ink = IntersectionInk(5, 3, QQ)
-        seen = []
-        orig = IntersectionInk._collapse_rank
-
-        def spy(self, d, fld):
-            seen.append(fld)
-            return orig(self, d, fld)
-
-        monkeypatch.setattr(IntersectionInk, "_collapse_rank", spy)
-        assert ink.dim(4, certified_lower=true_dim - 1) == true_dim
-        assert seen == [field_of(32003), QQ]
 
     @pytest.mark.parametrize(
         "ideal,normal_forms",
