@@ -39,14 +39,15 @@ remaining d.  The forms are a system of parameters exactly when the ring
 map is injective on every component V_pi of the vanishing locus, which one
 small rank per minimal prime decides.  The length L of the Artinian
 quotient is then at least e(V), the number of minimal primes of height
-lambda_1, and L = e(V) proves R/I Cohen-Macaulay: the forms are then a
-regular sequence, so the Artinian quotient has the same Betti table,
-finite and complete.  L is computed over GF(p) for integer forms; a GF(p)
-dimension bounds the rational one from above, so L_p = e(V) proves CM in
-characteristic 0 as well.  When d = 0 the translation step alone leaves an
-Artinian quotient and e(V) is not needed.  A certified quotient has length
-e(V), so its Koszul complex has e(V) 2^lambda_1 basis elements; past the
-column cap the attempt is skipped before any Hilbert function.  Otherwise
+lambda_1 (counted from block-size profiles, without a listing), and
+L = e(V) proves R/I Cohen-Macaulay: the forms are then a regular sequence,
+so the Artinian quotient has the same Betti table, finite and complete.
+L is computed over GF(p) for integer forms; a GF(p) dimension bounds the
+rational one from above, so L_p = e(V) proves CM in characteristic 0 as
+well.  When d = 0 the translation step alone leaves an Artinian quotient
+and e(V) is not needed.  A certified quotient has length e(V), so its
+Koszul complex has e(V) 2^lambda_1 basis elements; past the column cap
+the attempt is skipped before the minimal primes are listed.  Otherwise
 (L > e(V), a positive characteristic, an explicit degree bound, a
 minimal-prime listing past its cap, or a skipped attempt) the Koszul
 table up to a degree bound is used, and its certificate is
@@ -72,9 +73,9 @@ from .linalg import Echelon, add_scaled, rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
 from .tableaux import Partition, enumerate_standard_tableaux
-from .varieties import ResourceLimitError, SelfCheckError, SetPartition, minimal_primes
+from .varieties import ResourceLimitError, SelfCheckError, SetPartition, height_and_purity, minimal_primes
 
-_DEFAULT_COLUMN_CAP = 20_000
+_COLUMN_CAP = 20_000  # columns of one Koszul matrix
 _SOP_DRAWS = 3  # linear forms tried per Artinian attempt and per regular-reduction step
 
 
@@ -198,18 +199,14 @@ def regular_reduction(ideal: Ideal, j_max: int) -> tuple[Ideal, list[int]]:
     return ideal, qdim
 
 
-def koszul_betti(
-    ideal: Ideal,
-    j_max: int,
-    max_columns: int = _DEFAULT_COLUMN_CAP,
-) -> BettiTable:
+def koszul_betti(ideal: Ideal, j_max: int) -> BettiTable:
     """Betti table of R/I for internal degrees <= j_max, computed on the
     ideal's x_n -> 0 image when it carries one, divided by the linear forms
     ``regular_reduction`` finds.
 
-    ``max_columns`` caps the Koszul matrices; every chain dimension is
-    known once the Hilbert function is, so a complex past the cap raises a
-    ResourceLimitError before any matrix is built.
+    Every chain dimension is known once the Hilbert function is, so a
+    Koszul matrix past ``_COLUMN_CAP`` columns raises a ResourceLimitError
+    before any matrix is built.
     """
     start = ideal.translation_reduction() or ideal
     work, qdim = regular_reduction(start, j_max)
@@ -233,10 +230,10 @@ def koszul_betti(
         if chain_dim(i, j) and chain_dim(i - 1, j)
     ]
     for i, j in matrices:
-        if chain_dim(i - 1, j) > max_columns:
+        if chain_dim(i - 1, j) > _COLUMN_CAP:
             raise ResourceLimitError(
                 f"Koszul matrix at (i={i}, j={j}) has {chain_dim(i - 1, j)} columns; "
-                f"cap is {max_columns}"
+                f"cap is {_COLUMN_CAP}"
             )
 
     subsets = {i: list(combinations(range(m), i)) for i in range(m + 1)}
@@ -402,9 +399,12 @@ def artinian_reduction(
 
     Returns the complete Betti table over each field when L = e(V) (or no
     forms were needed), else None; and the values measured over the first
-    field (length, multiplicity, h_vector) for the certificate.  The first
-    field settles L = e(V) before any other field is tried, so a shape
-    that is not CM costs its minimal primes and one Hilbert function.
+    field (length, multiplicity, h_vector) for the certificate.  e(V)
+    comes from ``varieties.height_and_purity``, which lists nothing, so the
+    column-cap gate fires before the minimal primes are listed for the
+    system-of-parameters test.  The first field settles L = e(V) before any
+    other field is tried, so a shape that is not CM costs its minimal
+    primes and one Hilbert function.
     """
     trace = [] if trace is None else trace
     n, lam1 = shape.n, shape.parts[0]
@@ -418,23 +418,21 @@ def artinian_reduction(
     if d == 0:
         images = units + origin
     else:
+        measured["multiplicity"] = e_v = height_and_purity(shape).top_primes
+        if e_v << lam1 > _COLUMN_CAP:
+            # a certified quotient has length e(V), so its Koszul complex
+            # has e(V) 2^lambda_1 basis elements, past the column cap.  The
+            # Koszul path that runs instead computes the regular reduction's
+            # Hilbert functions up to j_max before its own cap can fire, and
+            # runs for more than 400 s on (5,1,1,1) (ROADMAP item 6)
+            trace.append(
+                f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
+            )
+            return None, measured
         try:
             primes = minimal_primes(shape)
         except ResourceLimitError as exc:
             trace.append(f"no Artinian reduction: {exc}")
-            return None, measured
-        measured["multiplicity"] = e_v = sum(1 for pi in primes if pi.height == lam1)
-        if e_v << lam1 > _DEFAULT_COLUMN_CAP:
-            # a certified quotient has length e(V), so its Koszul complex
-            # has e(V) 2^lambda_1 basis elements, past the column cap, and
-            # for (5,1,1,1) its Hilbert function alone takes 23 s.  The
-            # Koszul path that runs instead does not refuse quickly either:
-            # it computes the regular reduction's Hilbert functions up to
-            # j_max before its own cap can fire, and (5,1,1,1) runs there
-            # for more than 400 s (ROADMAP item 6)
-            trace.append(
-                f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
-            )
             return None, measured
         rng = random.Random(0)  # a fixed draw keeps the report reproducible
         for _ in range(_SOP_DRAWS):
@@ -505,57 +503,53 @@ def cm_verdict(
     bound first tries ``artinian_reduction``; otherwise, and whenever it
     does not certify, the table is the Koszul table up to ``j_max``.
     Characteristic 0 runs over two large primes that must agree; set
-    ``exact_rational`` to also run over the rationals and compare.
+    ``exact_rational`` to also run over the rationals and compare.  Every
+    field's table must agree with the first one's.
     """
     if shape.is_trivial:
         raise ValueError("the trivial shape is excluded")
+    if exact_rational and characteristic:
+        raise ValueError(f"exact_rational needs characteristic 0, got {characteristic}")
     n = shape.n
     jm = resolve_j_max(shape, j_max)
     trace: list[str] = []
-
-    def table_over(fld: Field) -> BettiTable:
-        ideal = specht_ideal(shape, fld)
-        bound = jm
-        for _ in range(3):
-            table = koszul_betti(ideal, bound)
-            if table.closed_off:
-                m, m_reduced = table.reduced
-                trace.append(
-                    f"Koszul ranks over {fld}: {m - m_reduced} linear form(s) divided "
-                    f"out, {m} -> {m_reduced} variables"
-                )
-                return table
-            bound += 2
-            trace.append(f"extending j_max to {bound} (strand not closed)")
-        raise ResourceLimitError(
-            f"Betti strands of {shape} not closed off by j_max={bound}"
-        )
-
-    if characteristic == 0:
-        fields = [field_of(p) for p in PROXY_PRIMES] + ([QQ] if exact_rational else [])
-    else:
-        fields = [field_of(characteristic)]
+    fields = [field_of(p) for p in (PROXY_PRIMES if characteristic == 0 else (characteristic,))]
+    fields += [QQ] if exact_rational else []
     tables, measured = None, {}
     if characteristic == 0 and j_max is None:
         tables, measured = artinian_reduction(shape, fields, trace)
     if tables is not None:
         kind, provenance = "artinian-length", f"betti.artinian_reduction({shape})"
     else:
-        tables = [table_over(fld) for fld in fields]
-        kind, provenance = "heuristic", f"betti.koszul_betti(I^Sp_{shape}, j_max={tables[0].j_max})"
-    table = tables[0]
-    if characteristic == 0:
-        if tables[1].entries != table.entries:
-            raise ProxyDisagreement(
-                f"proxy primes {PROXY_PRIMES} disagree for {shape}: "
-                f"{table.entries} vs {tables[1].entries}"
+        ideals = [specht_ideal(shape, fld) for fld in fields]
+        for bound in (jm, jm + 2, jm + 4):
+            if bound > jm:
+                trace.append(f"extending j_max to {bound} (strand not closed)")
+            tables = []
+            for ideal in ideals:  # the first open strand extends the bound for every field
+                tables.append(koszul_betti(ideal, bound))
+                if not tables[-1].closed_off:
+                    break
+            else:
+                break
+        else:
+            raise ResourceLimitError(f"Betti strands of {shape} not closed off by j_max={bound}")
+        for fld, t in zip(fields, tables):
+            m, m_reduced = t.reduced
+            trace.append(
+                f"Koszul ranks over {fld}: {m - m_reduced} linear form(s) divided "
+                f"out, {m} -> {m_reduced} variables"
             )
-        if exact_rational:
-            if tables[2].entries != table.entries:
-                raise ProxyDisagreement(
-                    f"rational table disagrees with proxies for {shape}"
-                )
-            trace.append("exact rational table agrees with both proxies")
+        kind, provenance = "heuristic", f"betti.koszul_betti(I^Sp_{shape}, j_max={bound})"
+    table = tables[0]
+    for fld, other in zip(fields[1:], tables[1:]):
+        if other.entries != table.entries:
+            raise ProxyDisagreement(
+                f"the tables over {fields[0]} and {fld} disagree for {shape}: "
+                f"{table.entries} vs {other.entries}"
+            )
+    if exact_rational:
+        trace.append("exact rational table agrees with both proxies")
 
     pd = table.pd
     depth = n - pd

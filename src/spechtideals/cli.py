@@ -305,13 +305,12 @@ def _cmd_betti(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
     jm = resolve_j_max(shape, args.max_deg)
     if args.char == 0:
-        verdict = cm_verdict(shape, 0, j_max=jm)
-        table = verdict.table
+        table = cm_verdict(shape, 0, j_max=jm).table
         over = " and ".join(f"GF({p})" for p in PROXY_PRIMES)
         report.add(
             "proxy_primes_agree",
             True,
-            f"betti.cm_verdict over {over}, j<= {jm}",
+            f"betti.cm_verdict over {over}, j<= {table.j_max}",
         )
     else:
         table = koszul_betti(specht_ideal(shape, field_of(args.char)), jm)
@@ -320,7 +319,7 @@ def _cmd_betti(args, report: Report) -> int:
     report.add(
         "top_strand_closed_off",
         table.closed_off,
-        f"betti.koszul_betti(I^Sp_{shape}, j_max={jm}, char={args.char})",
+        f"betti.koszul_betti(I^Sp_{shape}, j_max={table.j_max}, char={args.char})",
     )
     return 0
 

@@ -22,7 +22,10 @@ Bell(n) enumeration ``set_partitions``, which is never run.  A profile
 b_1..b_k has n! / (prod b_i! prod m_j!) set partitions (m_j the
 multiplicity of size j), so the length of a listing is counted profile by
 profile before it starts; past ``_LISTING_CAP`` letters it is refused, at
-the profile that crosses the cap.
+the profile that crosses the cap.  Heights, purity and e(V), the number
+of minimal primes of height lambda_1, read only the profiles and their
+counts (a prime's height is n minus its number of blocks), so
+``height_and_purity`` lists nothing and has no cap.
 """
 
 from __future__ import annotations
@@ -382,7 +385,7 @@ class PurityReport:
     pure: bool
     heights_seen: tuple[int, ...]
     closed_form_pure: bool
-    minimal_primes: list[SetPartition]
+    top_primes: int  # e(V): the minimal primes of height lambda_1
 
     def check_consistency(self) -> None:
         if self.pure != self.closed_form_pure:
@@ -397,22 +400,23 @@ class PurityReport:
 
 
 def height_and_purity(shape: Partition) -> PurityReport:
-    """Height (min over minimal primes), purity, and the closed-form verdict
-    (pure iff the next-to-last part equals the first, or the second part
-    is 1)."""
+    """Height (min over minimal primes), purity, e(V), and the closed-form
+    verdict (pure iff the next-to-last part equals the first, or the second
+    part is 1), read off the minimal profiles and their counts."""
     if shape.is_trivial:
         raise ValueError("the trivial shape is excluded")
-    primes = minimal_primes(shape)
-    heights = tuple(sorted({p.height for p in primes}))
+    primes_of_height: Counter = Counter()
+    for mu in _minimal_profiles(shape):
+        primes_of_height[shape.n - len(mu)] += _profile_count(mu)
+    heights = tuple(sorted(primes_of_height))
     parts = shape.parts
-    closed = parts[-2] == parts[0] or parts[1] == 1
     report = PurityReport(
         shape=shape,
-        height=min(heights),
+        height=heights[0],
         pure=len(heights) == 1,
         heights_seen=heights,
-        closed_form_pure=closed,
-        minimal_primes=primes,
+        closed_form_pure=parts[-2] == parts[0] or parts[1] == 1,
+        top_primes=primes_of_height[parts[0]],
     )
     report.check_consistency()
     return report

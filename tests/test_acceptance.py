@@ -42,6 +42,7 @@ from spechtideals.varieties import (
     evaluation_oracle,
     expected_minimal_primes,
     height_and_purity,
+    minimal_primes,
     set_partitions,
 )
 
@@ -324,12 +325,12 @@ def test_criterion_13_oracle_equivalence():
 def test_criterion_14_minimal_primes():
     with criterion(14, "minimal prime families and the (3,2,1) witness"):
         reports = purity_reports()
-        for parts, rep in reports.items():
+        for parts in reports:
             if parts[-2] == parts[0]:
-                got = {p.text() for p in rep.minimal_primes}
+                got = {p.text() for p in minimal_primes(Partition(parts))}
                 exp = {
                     p.text() for p in expected_minimal_primes(Partition(parts))
                 }
                 assert got == exp, parts
-        witnesses = {p.text(): p.height for p in reports[(3, 2, 1)].minimal_primes}
+        witnesses = {p.text(): p.height for p in minimal_primes(Partition((3, 2, 1)))}
         assert witnesses.get("1,2,3|4,5,6") == 4

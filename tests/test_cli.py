@@ -92,6 +92,17 @@ class TestCommands:
         assert verdict(payload, "height") == 6 and verdict(payload, "pure") is False
         assert payload["tables"]["heights_seen"] == [6, 8]
 
+    @pytest.mark.parametrize(
+        "shape, code, heights", [("12,12", 0, [12]), ("20,5,1", 1, [20, 24])]
+    )
+    def test_purity_past_the_listing_cap(self, shape, code, heights):
+        # heights and purity read the profiles, so a shape whose minimal
+        # primes would not be listed still gets its verdict
+        payload, got = run_json(["purity", "--shape", shape])
+        assert got == code
+        assert verdict(payload, "height") == heights[0]
+        assert payload["tables"]["heights_seen"] == heights
+
     def test_betti_char2(self):
         payload, code = run_json(["betti", "--shape", "3,3", "--char", "2"])
         assert code == 0
@@ -100,6 +111,17 @@ class TestCommands:
     def test_betti_artinian_socle_past_the_bound(self):
         payload, _ = run_json(["betti", "--shape", "6,2", "--char", "3"])
         assert payload["tables"]["betti"]["closed_off"] is False
+
+    @pytest.mark.parametrize("shape, j_max", [("5,2", 9), ("4,1,1", 10)])
+    def test_betti_char0_names_the_extended_bound(self, shape, j_max):
+        # the strands close only past the default bound (7 and 8); both
+        # provenances name the bound of the table beside them
+        payload, code = run_json(["betti", "--shape", shape, "--char", "0"])
+        assert code == 0 and payload["tables"]["betti"]["j_max"] == j_max
+        assert verdict(payload, "top_strand_closed_off") is True
+        provenance = {v["name"]: v["provenance"] for v in payload["verdicts"]}
+        assert provenance["proxy_primes_agree"].endswith(f"j<= {j_max}")
+        assert f"j_max={j_max}," in provenance["top_strand_closed_off"]
 
     def test_betti_m2_format(self):
         report, code = run(["betti", "--shape", "3,3", "--char", "2", "--format", "m2"])
@@ -330,6 +352,8 @@ class TestRefusedInput:
             # an empty prime list holds no cell either
             ["experiment", "--n-max", "4", "--primes", ""],
             ["experiment", "--n-max", "4", "--primes", ","],
+            # an exact rational table exists only in characteristic 0
+            ["cm-check", "--shape", "2,2", "--char", "2", "--exact-rational"],
         ],
     )
     def test_exit_two_without_traceback(self, argv):

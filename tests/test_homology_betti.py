@@ -99,9 +99,10 @@ class TestKoszul:
         t_proxy = koszul_betti(specht_ideal(Partition((2, 2)), F), 6)
         assert t_exact.entries == t_proxy.entries
 
-    def test_column_cap(self):
+    def test_column_cap(self, monkeypatch):
+        monkeypatch.setattr(betti, "_COLUMN_CAP", 10)
         with pytest.raises(ResourceLimitError):
-            koszul_betti(specht_ideal(Partition((3, 3)), F), 8, max_columns=10)
+            koszul_betti(specht_ideal(Partition((3, 3)), F), 8)
 
     @pytest.mark.parametrize("p, cap", [(32003, 10), (2, 10), (2, 40), (3, 20)])
     def test_column_cap_fires_before_any_matrix(self, monkeypatch, p, cap):
@@ -111,6 +112,7 @@ class TestKoszul:
             raise AssertionError("a Koszul matrix was built")
 
         monkeypatch.setattr(QuotientRing, "mult_map", no_matrix)
+        monkeypatch.setattr(betti, "_COLUMN_CAP", cap)
         ideal = specht_ideal(Partition((3, 3)), field_of(p))
         work, qdim = betti.regular_reduction(ideal.translation_reduction(), 8)
         m = work.nvars
@@ -120,7 +122,7 @@ class TestKoszul:
             if qdim[j - i] and comb(m, i - 1) * qdim[j - i + 1] > cap
         )
         with pytest.raises(ResourceLimitError) as exc:
-            koszul_betti(ideal, 8, max_columns=cap)
+            koszul_betti(ideal, 8)
         i, j, cols = first
         assert str(exc.value) == (
             f"Koszul matrix at (i={i}, j={j}) has {cols} columns; cap is {cap}"
@@ -316,6 +318,20 @@ class TestCmVerdict:
         assert v.certificate.kind == "artinian-length"
         assert v.certificate.fields == ("GF(32003)", "GF(1000003)", "QQ")
 
+    def test_exact_rational_needs_characteristic_zero(self):
+        with pytest.raises(ValueError, match="characteristic 0"):
+            cm_verdict(Partition((2, 2)), 2, exact_rational=True)
+
+    def test_refusal_names_the_last_bound(self, monkeypatch):
+        # the strands are tried at j_max, j_max + 2 and j_max + 4
+        monkeypatch.setattr(betti.BettiTable, "closed_off", property(lambda self: False))
+        shape = Partition((2, 2))
+        with pytest.raises(ResourceLimitError) as exc:
+            cm_verdict(shape, 2)
+        assert str(exc.value) == (
+            f"Betti strands of {shape} not closed off by j_max={default_j_max(shape) + 4}"
+        )
+
     def test_closed_off_reported(self):
         v = cm_verdict(Partition((3, 3)), 2)
         assert v.table.closed_off
@@ -477,6 +493,20 @@ class TestArtinianReduction:
         tables, measured = artinian_reduction(Partition((5, 1, 1, 1)), [F], trace)
         assert tables is None and measured == {"multiplicity": 966}
         assert "exceeds the column cap" in trace[-1]
+
+    @pytest.mark.parametrize("parts", [(5, 1, 1, 1), (9, 9)])
+    def test_column_cap_gate_before_any_listing(self, monkeypatch, parts):
+        # e(V) comes from the profile counts: the gate fires before the
+        # minimal primes are listed ((9,9) has 43,758 of them)
+        def refuse(shape):
+            raise AssertionError("the minimal primes were listed")
+
+        monkeypatch.setattr(betti, "minimal_primes", refuse)
+        trace = []
+        tables, _ = artinian_reduction(Partition(parts), [F], trace)
+        assert tables is None
+        assert trace[-1].startswith("no Artinian reduction: e(V) 2^lambda_1 = ")
+        assert trace[-1].endswith("exceeds the column cap")
 
     def test_degenerate_draw_refused(self):
         shape = Partition((3, 3))

@@ -262,10 +262,37 @@ class TestHeightPurity:
                 assert rep.height == lam.parts[0]
                 assert rep.pure == (lam.parts[-2] == lam.parts[0] or lam.parts[1] == 1)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_profiles_match_the_listing(self, n):
+        # heights, purity and e(V) read off the profiles equal the
+        # listing's, shape by shape
+        for lam in enumerate_partitions(n):
+            if lam.is_trivial:
+                continue
+            primes = minimal_primes(lam)
+            heights = tuple(sorted({p.height for p in primes}))
+            rep = height_and_purity(lam)
+            assert (rep.height, rep.pure, rep.heights_seen) == (
+                heights[0], len(heights) == 1, heights
+            ), lam
+            assert rep.top_primes == sum(p.height == lam.parts[0] for p in primes), lam
+
+    def test_no_listing(self, monkeypatch):
+        def refuse(shape):
+            raise AssertionError("the minimal primes were listed")
+
+        monkeypatch.setattr(varieties, "minimal_primes", refuse)
+        rep = height_and_purity(Partition((12, 12)))  # its listing is refused
+        assert (rep.height, rep.pure, rep.heights_seen) == (12, True, (12,))
+        assert rep.top_primes == comb(24, 13)
+        rep = height_and_purity(Partition((4, 2, 1)))
+        assert (rep.height, rep.pure, rep.heights_seen) == (4, False, (4, 5))
+        assert rep.top_primes == comb(7, 5)
+
     def test_equal_case_exact_prime_set(self):
         for parts in ((2, 2), (3, 3), (2, 2, 1), (2, 2, 2)):
             lam = Partition(parts)
-            got = {p.text() for p in height_and_purity(lam).minimal_primes}
+            got = {p.text() for p in minimal_primes(lam)}
             exp = {p.text() for p in expected_minimal_primes(lam)}
             assert got == exp
 
@@ -273,7 +300,7 @@ class TestHeightPurity:
         # for (4,2,1): the two-block prime witnessing non-purity has height
         # m(lambda_1 - 1) + lambda_{m+1} = 5 > lambda_1
         lam = Partition((4, 2, 1))
-        primes = height_and_purity(lam).minimal_primes
+        primes = minimal_primes(lam)
         witness = SetPartition(7, ((1, 2, 3, 4), (5, 6, 7)))
         assert any(p == witness for p in primes)
         assert witness.height == 1 * (4 - 1) + 2
