@@ -65,17 +65,16 @@ from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .fields import PROXY_PRIMES, Field, QQ, field_of
 from .ideals import GeneratedIdeal, Ideal, QuotientRing, specht_ideal
-from .linalg import Echelon, add_scaled, rank_dense_mod_p, rank_sparse
+from .linalg import add_scaled, rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
 from .tableaux import Partition, enumerate_standard_tableaux
 from .varieties import ResourceLimitError, SelfCheckError, SetPartition, height_and_purity, minimal_primes
 
 _COLUMN_CAP = 20_000  # columns of one Koszul matrix
+_DENSE_CELLS = 4_096  # rows x columns past which a GF(p) Artinian Koszul matrix is ranked densely
 _SOP_DRAWS = 3  # linear forms tried per Artinian attempt and per regular-reduction step
 
 
@@ -214,8 +213,9 @@ def koszul_betti(ideal: Ideal, j_max: int) -> BettiTable:
     q = QuotientRing(work)
 
     # an Artinian quotient (the Artinian reduction, or an (n-1, 1) hook)
-    # has small Koszul matrices with dense rows: over GF(p) a dense rank
-    # takes them several times faster than sparse elimination
+    # has Koszul matrices with dense rows.  Over GF(p) those past
+    # _DENSE_CELLS cells take the dense rank, several times faster there;
+    # on smaller ones it saves less than its numpy import costs
     p = work.field.characteristic
     dense = p > 0 and qdim[-1] == 0
 
@@ -239,16 +239,10 @@ def koszul_betti(ideal: Ideal, j_max: int) -> BettiTable:
     subsets = {i: list(combinations(range(m), i)) for i in range(m + 1)}
     subset_pos = {i: {s: k for k, s in enumerate(subsets[i])} for i in range(m + 1)}
 
-    ranks: dict[tuple[int, int], int] = {}
-    for i, j in matrices:
-        t = j - i
+    def koszul_rows(i: int, t: int):
+        """Rows of the Koszul map K_i -> K_{i-1} in internal degree i + t."""
         tgt_block = qdim[t + 1]
-        if dense:
-            mat = np.zeros((chain_dim(i, j), chain_dim(i - 1, j)), dtype=np.int64)
-        else:
-            ech = Echelon(work.field)
         maps = [q.mult_map(s, t) for s in range(m)]
-        r = 0
         for S in subsets[i]:
             smaller = [
                 (-1 if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
@@ -258,12 +252,16 @@ def koszul_betti(ideal: Ideal, j_max: int) -> BettiTable:
                 row: dict = {}
                 for sign, s_idx, s in smaller:
                     add_scaled(row, sign, maps[s][src], p, s_idx * tgt_block)
-                if dense:
-                    mat[r, list(row)] = list(row.values())
-                    r += 1
-                else:
-                    ech.insert(row)
-        ranks[(i, j)] = rank_dense_mod_p(mat, p) if dense else ech.rank
+                yield row
+
+    ranks: dict[tuple[int, int], int] = {}
+    for i, j in matrices:
+        rows = koszul_rows(i, j - i)
+        ncols = chain_dim(i - 1, j)
+        if dense and chain_dim(i, j) * ncols > _DENSE_CELLS:
+            ranks[(i, j)] = rank_dense_mod_p(list(rows), ncols, p)
+        else:
+            ranks[(i, j)] = rank_sparse(rows, work.field)
 
     entries: dict[tuple[int, int], int] = {}
     for j in range(j_max + 1):

@@ -13,15 +13,14 @@ incrementally, which keeps stored rows supported on their pivot plus the
 current non-pivot columns only.  Normal forms modulo a reduced basis go
 through :meth:`Echelon.reduce_exact`.  Ranks come from
 :func:`rank_sparse` over any field, or from the vectorized
-:func:`rank_dense_mod_p` over GF(p) when the whole matrix fits in memory.
+:func:`rank_dense_mod_p` over GF(p), which imports numpy on its first call,
+not with the package, and pays for that only on large matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .fields import Field, QQ
 from .poly import Polynomial, monomials_of_degree, poly_to_row
@@ -352,13 +351,22 @@ def intersect_spans(bases: list[GradedBasis]) -> GradedBasis:
     return current
 
 
-# -- dense modular rank (numpy fast path) --------------------------------------
+# -- dense modular rank (numpy) -----------------------------------------------
 
 
-def rank_dense_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p) by dense vectorized elimination."""
-    a = np.array(matrix, dtype=np.int64) % p
-    nrows, ncols = a.shape
+def rank_dense_mod_p(rows: list[dict], ncols: int, p: int) -> int:
+    """Rank over GF(p) of sparse ``{column: coefficient}`` rows on ncols
+    columns, by dense vectorized elimination.
+
+    Entries are taken mod p into int64, so p < 2^31 keeps every product of
+    two entries below 2^62.
+    """
+    import numpy as np
+
+    nrows = len(rows)
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    for r, row in enumerate(rows):
+        a[r, list(row)] = [v % p for v in row.values()]
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -374,8 +382,8 @@ def rank_dense_mod_p(matrix: np.ndarray, p: int) -> int:
         a[r] = a[r] * inv % p
         rest = np.nonzero(a[r + 1 :, c])[0]
         if rest.size:
-            rows = rest + r + 1
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+            rows_below = rest + r + 1
+            a[rows_below] = (a[rows_below] - np.outer(a[rows_below, c], a[r])) % p
         r += 1
     return r
 
