@@ -422,7 +422,8 @@ def artinian_reduction(
             # has e(V) 2^lambda_1 basis elements, past the column cap.  The
             # Koszul path that runs instead computes the regular reduction's
             # Hilbert functions up to j_max before its own cap can fire, and
-            # runs for more than 400 s on (5,1,1,1) (ROADMAP item 6)
+            # runs for more than 400 s on (5,1,1,1) (ROADMAP, "Caps before the
+            # Hilbert functions")
             trace.append(
                 f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
             )

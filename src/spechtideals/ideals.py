@@ -37,10 +37,14 @@ Three structural accelerations, each backed by a standard fact:
 
 Collapse ranks of I_{n,k} take one path: ``IntersectionInk.dim`` ranks
 the reduced incidence rows by sparse exact elimination over the ideal's
-field.
-The full n-variable incidence, ``IntersectionInk._incidence``, serves only
-``component``, whose null space separating polynomials and normal forms
-need.
+field.  In degree d, P_F collapses two monomials together exactly when
+they agree outside F (the exponent sum on F is then d minus the rest), so
+``_collapse_fibers`` groups monomials on their exponents outside each
+k-subset in one pass, and the reduced rank passes it only the monomials
+that no coordinate ideal pins.  The full n-variable incidence,
+``IntersectionInk._incidence``, serves only ``component``, whose null
+space separating polynomials and normal forms need; ``contains`` sums
+coefficients over the same groups.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .fields import Field, QQ
 from .linalg import (
@@ -360,6 +365,26 @@ def clique_ideal(nvars: int, members, fld: Field = QQ) -> PartitionIdealK:
     return PartitionIdealK(nvars, fld, [members] + rest)
 
 
+def _collapse_fibers(nvars: int, k: int, items):
+    """The fibers of every k-subset's collapse map, as lists of ``tag``.
+
+    ``items`` holds (tag, monomial) pairs of one degree in ``nvars``
+    variables.  The clique ideal P_F collapses the letters of F onto one;
+    in a fixed degree the exponent sum on F is determined by the exponents
+    outside F, so two monomials share a collapse fiber exactly when they
+    agree outside F.  Yields the nonempty groups of tags, F by F in
+    ``combinations`` order, each F's groups in order of first appearance.
+    """
+    items = list(items)
+    for F in combinations(range(nvars), k):
+        outside = [i for i in range(nvars) if i not in F]
+        key = itemgetter(*outside) if outside else (lambda mono: ())
+        groups: dict = {}
+        for tag, mono in items:
+            groups.setdefault(key(mono), []).append(tag)
+        yield from groups.values()
+
+
 class IntersectionInk(Ideal):
     """I_{n,k}: the intersection of P_F over all k-subsets F of [n]."""
 
@@ -368,43 +393,52 @@ class IntersectionInk(Ideal):
         if not 2 <= k <= nvars:
             raise ValueError("need 2 <= k <= n")
         self.k = k
-        self.subsets = list(combinations(range(1, nvars + 1), k))
-        self.cliques = [clique_ideal(nvars, F, fld) for F in self.subsets]
         self._reduced_ranks: dict[int, int] = {}
 
     # -- membership -------------------------------------------------------
     def contains(self, p: Polynomial) -> bool:
-        return all(c.contains(p) for c in self.cliques)
+        """p lies in every P_F exactly when its coefficients sum to zero on
+        each collapse fiber of each k-subset F."""
+        p.homogeneous_degree()  # the fibers below are those of one degree
+        fld = self.field
+        terms = [(fld.of(c), m) for m, c in p.terms.items()]
+        return all(
+            fld.of(sum(group)) == 0
+            for group in _collapse_fibers(self.nvars, self.k, terms)
+        )
 
     # -- the collapse matrix -----------------------------------------------
     def _incidence(self, d: int) -> list[dict]:
-        """One 0/1 row per fiber of each clique's collapse map on the degree-d
-        monomials.  A polynomial lies in (I_{n,k})_d exactly when its
-        coefficients sum to zero over every fiber, i.e. the component is the
-        null space of these rows."""
-        return [dict.fromkeys(group, 1) for cl in self.cliques for group in cl._fibers(d)]
+        """One 0/1 row per collapse fiber of each k-subset F on the degree-d
+        monomials of all n variables.  A polynomial lies in (I_{n,k})_d
+        exactly when its coefficients sum to zero over every fiber, i.e. the
+        component is the null space of these rows."""
+        monos = enumerate(monomials_of_degree(self.nvars, d))
+        return [
+            dict.fromkeys(group, 1) for group in _collapse_fibers(self.nvars, self.k, monos)
+        ]
 
     def _reduced_rank(self, e: int) -> int:
         """Rank of J's degree-e incidence in n-1 variables, J the image of
         I_{n,k} under x_n -> 0.
 
-        A clique F without n keeps its collapse fibers; one with n becomes
+        A k-subset F without n keeps its collapse fibers; one with n becomes
         the coordinate ideal (x_i : i in F - {n}), one singleton fiber per
         monomial avoiding those letters.  A monomial avoids some k-1 of the
         n-1 letters exactly when at most n-k letters divide it, so those
-        columns are pinned and the fibers are ranked on the other columns."""
+        columns are pinned.  The rank is the pinned count plus the rank of
+        the fibers of the k-subsets of [n-1] on the unpinned monomials; no
+        row is built when every monomial is pinned."""
         if e not in self._reduced_ranks:
-            m = self.nvars - 1
-            pinned = {
-                j for j, mono in enumerate(monomials_of_degree(m, e))
-                if len(mono_support(mono)) <= self.nvars - self.k
-            }
-            rows = [
-                {j: 1 for j in group if j not in pinned}
-                for F in combinations(range(1, m + 1), self.k)
-                for group in clique_ideal(m, F)._fibers(e)
-            ]
-            self._reduced_ranks[e] = len(pinned) + rank_sparse(rows, self.field)
+            m, k = self.nvars - 1, self.k
+            monos = monomials_of_degree(m, e)
+            # at most n-k letters divide mono <=> at least k-1 of them are zero
+            free = [(j, mono) for j, mono in enumerate(monos) if mono.count(0) < k - 1]
+            rank = len(monos) - len(free)
+            if free:
+                rows = (dict.fromkeys(group, 1) for group in _collapse_fibers(m, k, free))
+                rank += rank_sparse(rows, self.field)
+            self._reduced_ranks[e] = rank
         return self._reduced_ranks[e]
 
     def dim(self, d: int) -> int:

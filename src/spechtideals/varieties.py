@@ -423,7 +423,12 @@ def height_and_purity(shape: Partition) -> PurityReport:
 
 
 def expected_minimal_primes(shape: Partition) -> list[SetPartition]:
-    """The family {P_F, F of size lambda_1 + 1, padded by singletons}."""
+    """The family {P_F, F of size lambda_1 + 1, padded by singletons}.
+
+    These are the minimal primes of I^Sp_lambda only when every row but the
+    last has length lambda_1, as for (a,b), (a,a,1) and (a,1); the tests
+    use it for those shapes.  Other shapes differ, hooks with a leg of 2 or
+    more among them: (4,1,1) has 31 top primes, not these 6."""
     n = shape.n
     size = shape.parts[0] + 1
     out = []

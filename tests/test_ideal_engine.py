@@ -1,6 +1,7 @@
 """Ideal components, Hilbert functions, equality, specialization, socle."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -26,7 +27,7 @@ from spechtideals.ideals import (
     specialize_xn,
     sum_ideal,
 )
-from spechtideals.linalg import Echelon, intersect_spans
+from spechtideals.linalg import Echelon, GradedBasis, intersect_spans, null_space
 from spechtideals.poly import Polynomial, dim_degree, monomials_of_degree, poly_to_row
 from spechtideals.specht import AA1FrJ, TwoRowFrJ
 from spechtideals.tableaux import Partition, enumerate_partitions
@@ -96,6 +97,31 @@ class TestComponents:
                 ink.component(d).dimension for d in range(d_max + 1)
             ]
 
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(2, 8) for k in range(2, n + 1)], ids=str
+    )
+    def test_collapse_against_clique_ideals(self, n, k):
+        # dim, component and contains of I_{n,k} against the clique ideals
+        # P_F alone; k >= n - 1 leaves no letter outside F in n - 1
+        # variables, and every degree e <= n - k of J is pinned
+        rng = random.Random(10 * n + k)
+        for fld in (QQ, field_of(2), field_of(3)):
+            ink = IntersectionInk(n, k, fld)
+            cliques = [clique_ideal(n, F, fld) for F in combinations(range(1, n + 1), k)]
+            for d in range(6):
+                want = _clique_reference(cliques, d)
+                assert ink.dim(d) == want.dimension, (fld, d)
+                assert ink.component(d).rows == want.rows, (fld, d)
+                monos = monomials_of_degree(n, d)
+                vectors = want.vectors()
+                polys = vectors + [v + Polynomial(n, fld, {monos[-1]: 1}) for v in vectors[:3]]
+                for _ in range(4):
+                    support = rng.sample(monos, min(3, len(monos)))
+                    polys.append(Polynomial(n, fld, {m: rng.randint(-2, 2) for m in support}))
+                for p in polys:
+                    assert ink.contains(p) == all(c.contains(p) for c in cliques), (fld, d, p)
+                assert all(ink.contains(v) for v in vectors)
+
     @pytest.mark.parametrize("p", [0, 2, 3, 32003])
     def test_collapse_dims_closed_forms(self, p):
         # I_{n,2} is principal on the Vandermonde product, of degree C(n,2),
@@ -139,6 +165,18 @@ class TestComponents:
         gen = ideal.gens[0]
         assert ideal.contains(gen * x(1, 4))
         assert not ideal.contains(x(1, 4) * x(2, 4))
+
+
+def _clique_reference(cliques, d):
+    """The degree-d component of the intersection of the clique ideals: the
+    vectors whose coefficients sum to zero on every collapse fiber of every
+    P_F, with the fibers read off ``PartitionIdealK.collapse_monomial``."""
+    first = cliques[0]
+    rows = [dict.fromkeys(group, 1) for c in cliques for group in c._fibers(d)]
+    ech = Echelon(first.field)
+    for v in null_space(rows, first.field, dim_degree(first.nvars, d)):
+        ech.insert(v)
+    return GradedBasis.from_echelon(ech, first.nvars, d)
 
 
 def basis_dim_oracle(nvars, m, d):
