@@ -26,6 +26,13 @@ no candidate passes, when the quotient vanishes in degree j_max, or at
 one variable.  The Koszul matrices are then ranked in the fewer
 variables that remain, and since every chain dimension follows from the
 Hilbert function, the column cap is checked before any matrix is built.
+The ranks of d_1 and d_2 need no elimination: with q_t = dim (S/J)_t in m
+variables, rank d_1 = q_j in internal degree j, since S/J is generated in
+degree 1, and rank d_2 = m q_{j-1} - q_j - mu_j, since H_1 = J/mJ has
+dimension mu_j, the number of minimal generators of J in degree j, which
+``GeneratedIdeal`` counts while it builds J_j.  Only d_3, ..., d_m are
+built, so a reduction that ends in m <= 2 variables builds no Koszul
+matrix; the column cap still covers d_1 and d_2.
 When the reduction ends at an Artinian quotient of top degree s in m
 variables, its socle gives Koszul homology in degree m + s, so the table
 is ``closed_off`` only when m + s <= j_max.
@@ -66,7 +73,7 @@ from itertools import combinations
 from math import comb
 
 from .fields import PROXY_PRIMES, Field, QQ, field_of
-from .ideals import GeneratedIdeal, Ideal, QuotientRing, specht_ideal
+from .ideals import GeneratedIdeal, QuotientRing, specht_ideal
 from .linalg import add_scaled, rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
@@ -155,7 +162,7 @@ class BettiTable:
         }
 
 
-def _divide_by_form(ideal: Ideal, coeffs: list) -> GeneratedIdeal:
+def _divide_by_form(ideal: GeneratedIdeal, coeffs: list) -> GeneratedIdeal:
     """The image of J under x_m -> -sum_i coeffs[i] x_i (m the last
     variable): S/J divided by x_m + sum_i coeffs[i] x_i, in one fewer
     variable."""
@@ -166,7 +173,7 @@ def _divide_by_form(ideal: Ideal, coeffs: list) -> GeneratedIdeal:
     return GeneratedIdeal(k, fld, [g.substitute(assignment) for g in ideal.generator_list()])
 
 
-def regular_reduction(ideal: Ideal, j_max: int) -> tuple[Ideal, list[int]]:
+def regular_reduction(ideal: GeneratedIdeal, j_max: int) -> tuple[GeneratedIdeal, list[int]]:
     """Divide S/J by linear forms that are injective on (S/J)_t for every
     t < j_max, one at a time, as long as one is found (module docstring).
 
@@ -183,7 +190,7 @@ def regular_reduction(ideal: Ideal, j_max: int) -> tuple[Ideal, list[int]]:
     # over QQ the draws are those of the first proxy prime
     top = p or PROXY_PRIMES[0]
     rng = random.Random(0)  # a fixed draw keeps every report reproducible
-    while ideal.nvars > 1 and qdim[-1] and ideal.generator_list() is not None:
+    while ideal.nvars > 1 and qdim[-1]:
         want = [qdim[0]] + [qdim[t] - qdim[t - 1] for t in range(1, j_max + 1)]
         if min(want) < 0:  # no form is injective where the function falls
             break
@@ -198,14 +205,24 @@ def regular_reduction(ideal: Ideal, j_max: int) -> tuple[Ideal, list[int]]:
     return ideal, qdim
 
 
-def koszul_betti(ideal: Ideal, j_max: int) -> BettiTable:
+def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
     """Betti table of R/I for internal degrees <= j_max, computed on the
     ideal's x_n -> 0 image when it carries one, divided by the linear forms
     ``regular_reduction`` finds.
 
+    Only the maps d_i with i >= 3 are built and ranked.  In internal
+    degree j, with q_t = dim Q_t for Q = S/J in m variables, d_1 maps
+    V (x) Q_{j-1} onto Q_j, since Q is generated in degree 1, so
+    rank d_1 = q_j; and H_1 = Tor_1(k, Q) = J/mJ, so beta_{1,j} = mu_j, the
+    minimal generators of J in degree j
+    (``GeneratedIdeal.minimal_generators``), and
+    rank d_2 = m q_{j-1} - q_j - mu_j.  A derived rank outside
+    [0, min(rows, columns)] of its matrix raises a SelfCheckError.
+
     Every chain dimension is known once the Hilbert function is, so a
     Koszul matrix past ``_COLUMN_CAP`` columns raises a ResourceLimitError
-    before any matrix is built.
+    before any matrix is built.  The cap covers every (i, j), d_1 and d_2
+    included, though those two are never built.
     """
     start = ideal.translation_reduction() or ideal
     work, qdim = regular_reduction(start, j_max)
@@ -256,12 +273,20 @@ def koszul_betti(ideal: Ideal, j_max: int) -> BettiTable:
 
     ranks: dict[tuple[int, int], int] = {}
     for i, j in matrices:
-        rows = koszul_rows(i, j - i)
         ncols = chain_dim(i - 1, j)
-        if dense and chain_dim(i, j) * ncols > _DENSE_CELLS:
-            ranks[(i, j)] = rank_dense_mod_p(list(rows), ncols, p)
+        if i == 1:  # d_1 maps onto Q_j: Q is generated in degree 1
+            ranks[(i, j)] = qdim[j]
+        elif i == 2:  # H_1 = J/mJ, so beta_{1,j} = mu_j
+            ranks[(i, j)] = m * qdim[j - 1] - qdim[j] - work.minimal_generators(j)
+        elif dense and chain_dim(i, j) * ncols > _DENSE_CELLS:
+            ranks[(i, j)] = rank_dense_mod_p(list(koszul_rows(i, j - i)), ncols, p)
         else:
-            ranks[(i, j)] = rank_sparse(rows, work.field)
+            ranks[(i, j)] = rank_sparse(koszul_rows(i, j - i), work.field)
+        if not 0 <= ranks[(i, j)] <= min(chain_dim(i, j), ncols):
+            raise SelfCheckError(
+                f"Koszul rank {ranks[(i, j)]} at (i={i}, j={j}) outside "
+                f"[0, min({chain_dim(i, j)}, {ncols})]"
+            )
 
     entries: dict[tuple[int, int], int] = {}
     for j in range(j_max + 1):

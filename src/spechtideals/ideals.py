@@ -155,14 +155,17 @@ class GeneratedIdeal(Ideal):
         for g in self.gens:
             self._by_degree.setdefault(g.homogeneous_degree(), []).append(g)
         self._ech: dict[int, Echelon] = {}
+        self._mu: dict[int, int] = {}
         self._qdim: dict[int, int] = {}
 
     def generator_list(self):
         return list(self.gens)
 
-    def translation_invariant(self) -> bool:
-        """Whether the ideal carries its x_n -> 0 image."""
-        return self.translation_reduction() is not None
+    def minimal_generators(self, d: int) -> int:
+        """mu_d = dim I_d - dim S_1 I_{d-1}, the number of degree-d elements
+        in a minimal generating set, counted while I_d is built."""
+        self._echelon(d)
+        return self._mu[d]
 
     # -- incremental echelons -------------------------------------------
     def _echelon(self, d: int) -> Echelon:
@@ -176,7 +179,8 @@ class GeneratedIdeal(Ideal):
         I_{d-2} (Buchberger's chain criterion, see the module docstring),
         since it then lies in the span of x_{i*} b* and products with
         leading monomial below u.  The span, hence the canonical reduced
-        rows, is that of all the products.
+        rows, is that of all the products.  So the rank the degree-d
+        generators add to it is mu_d, which ``minimal_generators`` reads.
         """
         ech = self._ech.get(d)
         if ech is not None:
@@ -199,8 +203,10 @@ class GeneratedIdeal(Ideal):
                     if j != i and piv in explained[j]:
                         continue
                     ech.insert({table[c]: v for c, v in row.items()})
+        products = ech.rank
         for g in self._by_degree.get(d, ()):  # new generators at this degree
             ech.insert(poly_to_row(g, d))
+        self._mu[d] = ech.rank - products
         self._ech[d] = ech
         return ech
 
@@ -642,21 +648,6 @@ def _separating_vector(bigger: Ideal, smaller: Ideal, d: int) -> Polynomial | No
 # Quotient rings: bases, multiplication maps, socle, injectivity
 
 
-@dataclass
-class QuotientComponent:
-    """Degree-d data of R/I: the monomial quotient basis and the ideal basis."""
-
-    ideal: Ideal
-    degree: int
-    quotient_basis: list
-    ideal_basis: GradedBasis
-
-    def check(self) -> bool:
-        return len(self.quotient_basis) + self.ideal_basis.dimension == dim_degree(
-            self.ideal.nvars, self.degree
-        )
-
-
 class QuotientRing:
     """R/I with reduction onto standard monomials, one degree at a time."""
 
@@ -676,13 +667,6 @@ class QuotientRing:
             self._basis[d] = cols
             self._pos[d] = {j: t for t, j in enumerate(cols)}
         return cols
-
-    def info(self, d: int) -> QuotientComponent:
-        cols = self.basis_columns(d)
-        monos = monomials_of_degree(self.nvars, d)
-        return QuotientComponent(
-            self.ideal, d, [monos[j] for j in cols], self.ideal.component(d)
-        )
 
     def quotient_dim(self, d: int) -> int:
         return len(self.basis_columns(d))

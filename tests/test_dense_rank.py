@@ -138,7 +138,8 @@ class TestNumpyImport:
         assert out == {"queries": out["queries"], "before": False, "after": False}
 
     def test_large_artinian_matrix_loads_numpy_with_the_same_table(self, monkeypatch):
-        # the largest Artinian Koszul matrix of (4,4,1) is 210 x 224 (47,040 cells)
+        # the largest Artinian Koszul matrix of (4,4,1) still built is d_3,
+        # 140 x 336 (47,040 cells); d_1 and d_2 are derived, not built
         out = _run_in_fresh_interpreter(_LARGE_DENSE)
         assert (out["before"], out["after"], out["code"]) == (False, True, 0)
         monkeypatch.setattr(betti, "_DENSE_CELLS", 10**9)

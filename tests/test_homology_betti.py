@@ -1,5 +1,6 @@
 """Koszul Betti tables, Euler-characteristic consistency, CM verdicts."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -16,10 +17,11 @@ from spechtideals.betti import (
 )
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import GeneratedIdeal, QuotientRing, mult_injective, specht_ideal
-from spechtideals.poly import Polynomial
+from spechtideals.linalg import add_scaled, echelon_span, rank_sparse
+from spechtideals.poly import Polynomial, poly_to_row
 from spechtideals.specht import specht_poly_degree
 from spechtideals.tableaux import Partition
-from spechtideals.varieties import ResourceLimitError, minimal_primes
+from spechtideals.varieties import ResourceLimitError, SelfCheckError, minimal_primes
 
 F = field_of(32003)
 
@@ -543,3 +545,121 @@ class TestArtinianReduction:
         v = cm_verdict(Partition((3, 3)), 0, j_max=8)
         assert v.certificate.kind == "heuristic" and v.table.j_max == 8
         assert v.certificate.length is None
+
+
+def _ranked_table(ideal, j_max):
+    """The Betti table with every Koszul map d_i, d_1 and d_2 included,
+    built from ``QuotientRing.mult_map`` and ranked by ``rank_sparse``, on
+    the reduced ideal ``koszul_betti`` ranks."""
+    start = ideal.translation_reduction() or ideal
+    work, qdim = betti.regular_reduction(start, j_max)
+    m, fld = work.nvars, work.field
+    q = QuotientRing(work)
+
+    def chain_dim(i, j):
+        return comb(m, i) * qdim[j - i] if 0 <= i <= m and 0 <= j - i <= j_max else 0
+
+    faces = {i: {s: k for k, s in enumerate(combinations(range(m), i))} for i in range(m + 1)}
+    ranks = {}
+    for j in range(1, j_max + 1):
+        for i in range(1, min(m, j) + 1):
+            t = j - i
+            if not (chain_dim(i, j) and chain_dim(i - 1, j)):
+                continue
+            rows = []
+            for subset in faces[i]:
+                for src in range(qdim[t]):
+                    row = {}
+                    for pos, s in enumerate(subset):
+                        col = faces[i - 1][subset[:pos] + subset[pos + 1:]] * qdim[t + 1]
+                        add_scaled(row, (-1) ** pos, q.mult_map(s, t)[src], fld.characteristic, col)
+                    rows.append(row)
+            ranks[i, j] = rank_sparse(rows, fld)
+    entries = {}
+    for j in range(j_max + 1):
+        for i in range(min(m, j) + 1):
+            beta = chain_dim(i, j) - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
+            if beta:
+                entries[i, j] = beta
+    return entries
+
+
+NONTRIVIAL_UP_TO_6 = [p for n in range(2, 7) for p in _partitions(n) if len(p) > 1]
+
+
+def _brute_minimal_generators(gens, nvars, fld, top):
+    """mu_d for d <= top: the rank the degree-d generators add to all the
+    products x_i b, b a basis of I_{d-1}, with no product skipped."""
+    xs = [Polynomial.variable(nvars, i, fld) for i in range(nvars)]
+    basis, mu = [], []
+    for d in range(top + 1):
+        products = [x * b for b in basis for x in xs]
+        new = [g for g in gens if g.homogeneous_degree() == d]
+        span = rank_sparse([poly_to_row(p, d) for p in products], fld)
+        full = echelon_span(products + new, d, field=fld, nvars=nvars)
+        mu.append(full.dimension - span)
+        basis = full.vectors()
+    return mu
+
+
+class TestDerivedRanks:
+    """``koszul_betti`` reads rank d_1 = q_j and rank d_2 = m q_{j-1} - q_j
+    - mu_j instead of ranking those maps."""
+
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    @pytest.mark.parametrize("parts", NONTRIVIAL_UP_TO_6, ids=str)
+    def test_table_equals_every_map_ranked(self, parts, p):
+        shape = Partition(parts)
+        ideal = specht_ideal(shape, field_of(p))
+        j_max = specht_poly_degree(shape) + 3
+        assert koszul_betti(ideal, j_max).entries == _ranked_table(ideal, j_max)
+
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 2), (2, 2, 1)])
+    def test_table_equals_every_map_ranked_over_qq(self, parts):
+        ideal = specht_ideal(Partition(parts), QQ)
+        j_max = default_j_max(Partition(parts))
+        assert koszul_betti(ideal, j_max).entries == _ranked_table(ideal, j_max)
+
+    @pytest.mark.parametrize("fld", [QQ, field_of(2), F], ids=repr)
+    def test_minimal_generators_match_brute_force(self, fld):
+        x, y, z = (Polynomial.variable(3, i, fld) for i in range(3))
+        gens = [
+            x * y - z * z,
+            x * z,
+            y ** 3,
+            x * x * z + y * y * z,
+            z * (x * z),  # a multiple of x z: no minimal generator
+            x ** 4 - y ** 4,
+        ]
+        ideal = GeneratedIdeal(3, fld, gens)
+        top = 6
+        mu = _brute_minimal_generators(gens, 3, fld, top)
+        assert [ideal.minimal_generators(d) for d in range(top + 1)] == mu
+        assert mu[3] == 2  # y^3 and x^2 z + y^2 z; z (x z) is redundant
+        assert sum(mu) == 5
+
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    def test_two_variables_build_no_matrix(self, monkeypatch, p):
+        # (2,2) reduces to two variables, where d_1 and d_2 are every map
+        def no_matrix(*args):
+            raise AssertionError("a Koszul matrix was built")
+
+        monkeypatch.setattr(QuotientRing, "mult_map", no_matrix)
+        table = koszul_betti(specht_ideal(Partition((2, 2)), field_of(p)), 7)
+        assert table.reduced[1] <= 2
+        assert table.entries == GOLDEN_TABLES[(2, 2), p]
+
+    def test_certified_verdict_builds_no_matrix(self, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("a Koszul matrix was built")
+
+        monkeypatch.setattr(QuotientRing, "mult_map", no_matrix)
+        v = cm_verdict(Partition((2, 2)), 0)
+        assert v.certificate.kind == "artinian-length"
+        assert v.table.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+
+    def test_derived_rank_out_of_range_is_a_self_check_error(self, monkeypatch):
+        # a generator count that makes rank d_2 negative must not print
+        monkeypatch.setattr(GeneratedIdeal, "minimal_generators", lambda self, d: 10**6)
+        with pytest.raises(SelfCheckError, match=r"Koszul rank -\d+ at \(i=2"):
+            koszul_betti(specht_ideal(Partition((3, 3)), F), 8)

@@ -61,8 +61,7 @@ class TestComponents:
         ideal = specht_ideal(Partition((2, 2)))
         q = QuotientRing(ideal)
         for d in range(5):
-            info = q.info(d)
-            assert info.check()
+            assert q.quotient_dim(d) + ideal.component(d).dimension == dim_degree(4, d)
 
     @pytest.mark.parametrize(
         "make",
@@ -227,9 +226,9 @@ class TestHilbert:
         assert chained == direct
 
     def test_translation_invariance_detection(self):
-        assert specht_ideal(Partition((2, 2))).translation_invariant()
+        assert specht_ideal(Partition((2, 2))).translation_reduction() is not None
         gens = [x(1, 3) * x(2, 3)]
-        assert not GeneratedIdeal(3, QQ, gens).translation_invariant()
+        assert GeneratedIdeal(3, QQ, gens).translation_reduction() is None
 
     @pytest.mark.parametrize("shape,p", _SPECHT_CASES, ids=_case_id)
     def test_generators_lose_xn_under_shift(self, shape, p):
