@@ -42,22 +42,25 @@ reduction (Serre's multiplicity criterion, Bruns-Herzog 4.7), in
 ``artinian_reduction``.  The translation step sends x_n to 0, and
 d = n - 1 - lambda_1 linear forms in the first lambda_1 variables, with
 coefficients drawn from all of GF(p) by a fixed generator, replace the
-remaining d.  The forms are a system of parameters exactly when the ring
-map is injective on every component V_pi of the vanishing locus, which one
-small rank per minimal prime decides.  The length L of the Artinian
-quotient is then at least e(V), the number of minimal primes of height
-lambda_1 (counted from block-size profiles, without a listing), and
-L = e(V) proves R/I Cohen-Macaulay: the forms are then a regular sequence,
-so the Artinian quotient has the same Betti table, finite and complete.
-L is computed over GF(p) for integer forms; a GF(p) dimension bounds the
-rational one from above, so L_p = e(V) proves CM in characteristic 0 as
-well.  When d = 0 the translation step alone leaves an Artinian quotient
-and e(V) is not needed.  A certified quotient has length e(V), so its
-Koszul complex has e(V) 2^lambda_1 basis elements; past the column cap
-the attempt is skipped before the minimal primes are listed.  Otherwise
-(L > e(V), a positive characteristic, an explicit degree bound, a
-minimal-prime listing past its cap, or a skipped attempt) the Koszul
-table up to a degree bound is used, and its certificate is
+remaining d.  The image of I is then generated in degree D =
+``specht_poly_degree`` in lambda_1 variables, and the forms are a system
+of parameters exactly when its quotient is Artinian, which its Hilbert
+function decides: an Artinian quotient vanishes past lambda_1 (D - 1), so
+a draw is accepted when the function reaches 0 by the next degree, and
+the same values give the length L.  L is then at least e(V), the number
+of minimal primes of height lambda_1 (counted from block-size profiles,
+without a listing), and L = e(V) proves R/I Cohen-Macaulay: the forms are
+then a regular sequence, so the Artinian quotient has the same Betti
+table, finite and complete.  L is computed over GF(p) for integer forms;
+a GF(p) dimension bounds the rational one from above, so a GF(p)
+quotient that vanishes, and L_p = e(V), prove both in characteristic 0
+as well.  When d = 0 the translation step alone leaves an Artinian
+quotient and e(V) is not needed.  A certified quotient has length e(V),
+so its Koszul complex has e(V) 2^lambda_1 basis elements; past the column
+cap the attempt is skipped before any Hilbert function is computed.
+Otherwise (no system of parameters in ``_SOP_DRAWS`` draws, L > e(V), a
+positive characteristic, an explicit degree bound, or a skipped attempt)
+the Koszul table up to a degree bound is used, and its certificate is
 ``heuristic``: the strands only look closed.
 
 Characteristic 0 tables are computed over the two large primes of
@@ -73,12 +76,12 @@ from itertools import combinations
 from math import comb
 
 from .fields import PROXY_PRIMES, Field, QQ, field_of
-from .ideals import GeneratedIdeal, QuotientRing, specht_ideal
+from .ideals import GeneratedIdeal, QuotientRing, hilbert_function, specht_ideal
 from .linalg import add_scaled, rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
 from .tableaux import Partition, enumerate_standard_tableaux
-from .varieties import ResourceLimitError, SelfCheckError, SetPartition, height_and_purity, minimal_primes
+from .varieties import ResourceLimitError, SelfCheckError, height_and_purity
 
 _COLUMN_CAP = 20_000  # columns of one Koszul matrix
 _DENSE_CELLS = 4_096  # rows x columns past which a GF(p) Artinian Koszul matrix is ranked densely
@@ -183,9 +186,7 @@ def regular_reduction(ideal: GeneratedIdeal, j_max: int) -> tuple[GeneratedIdeal
     its dimension; candidates are the all-ones form, then seeded draws
     with nonzero coefficients, at most ``_SOP_DRAWS`` per step.
     """
-    qdim: list[int] = []
-    for t in range(j_max + 1):  # (S/J)_t = 0 kills every higher degree
-        qdim.append(ideal.quotient_dim(t) if not qdim or qdim[-1] else 0)
+    qdim = hilbert_function(ideal, j_max)
     p = ideal.field.characteristic
     # over QQ the draws are those of the first proxy prime
     top = p or PROXY_PRIMES[0]
@@ -355,31 +356,6 @@ class CmVerdict:
     trace: list[str] = dc_field(default_factory=list)
 
 
-def is_system_of_parameters(
-    images: list[list[int]], primes: list[SetPartition], fld: Field
-) -> bool:
-    """Whether the ring map x_a -> images[a-1] leaves only the origin of
-    the vanishing locus, i.e. its linear forms are a system of parameters.
-
-    images[a-1] is the coefficient vector of the linear form x_a maps to.
-    The preimage of the component V_pi is cut out by the differences
-    images[a-1] - images[b-1] over the letters a, b of one block, so it is
-    the origin exactly when those rows have full rank.
-    """
-    nfree = len(images[0])
-    for pi in primes:
-        rows = []
-        for block in pi.blocks:
-            base = images[block[0] - 1]
-            for a in block[1:]:
-                rows.append({
-                    i: c - b for i, (c, b) in enumerate(zip(images[a - 1], base)) if c != b
-                })
-        if rank_sparse(rows, fld) < nfree:
-            return False
-    return True
-
-
 def artinian_ideal(shape: Partition, images: list[list[int]], fld: Field) -> GeneratedIdeal:
     """The image of I^Sp under x_a -> images[a-1] (a linear form in
     len(images[0]) variables): per standard tableau, the product over its
@@ -396,25 +372,6 @@ def artinian_ideal(shape: Partition, images: list[list[int]], fld: Field) -> Gen
     return GeneratedIdeal(k, fld, gens)
 
 
-def _h_vector(ideal: GeneratedIdeal, top: int) -> list[int]:
-    """Hilbert function of an Artinian quotient up to its last nonzero value.
-
-    ``top`` bounds the socle degree (over an infinite extension field, an
-    Artinian ideal generated in degree D in k variables contains a regular
-    sequence of k degree-D forms, so its quotient vanishes beyond
-    k(D - 1)); a nonzero value past it is an internal inconsistency.
-    """
-    h = [ideal.quotient_dim(0)]
-    while h[-1]:
-        if len(h) > top + 1:
-            raise SelfCheckError(
-                f"Hilbert function of a system-of-parameters quotient is "
-                f"nonzero in degree {len(h) - 1} > {top}"
-            )
-        h.append(ideal.quotient_dim(len(h)))
-    return h[:-1]
-
-
 def artinian_reduction(
     shape: Partition, fields: list[Field], trace: list[str] | None = None
 ) -> tuple[list[BettiTable] | None, dict]:
@@ -424,10 +381,11 @@ def artinian_reduction(
     forms were needed), else None; and the values measured over the first
     field (length, multiplicity, h_vector) for the certificate.  e(V)
     comes from ``varieties.height_and_purity``, which lists nothing, so the
-    column-cap gate fires before the minimal primes are listed for the
-    system-of-parameters test.  The first field settles L = e(V) before any
-    other field is tried, so a shape that is not CM costs its minimal
-    primes and one Hilbert function.
+    column-cap gate fires before any Hilbert function is computed.  A draw
+    is accepted when the Hilbert function of its quotient over the first
+    field reaches 0 by degree top + 1, and that field settles L = e(V)
+    before any other field is tried, so a shape that is not CM costs one
+    Hilbert function per draw.
     """
     trace = [] if trace is None else trace
     n, lam1 = shape.n, shape.parts[0]
@@ -437,10 +395,7 @@ def artinian_reduction(
     units = [[int(i == a) for i in range(lam1)] for a in range(lam1)]
     origin = [[0] * lam1]
     measured: dict = {}
-    primes: list[SetPartition] = []
-    if d == 0:
-        images = units + origin
-    else:
+    if d:
         measured["multiplicity"] = e_v = height_and_purity(shape).top_primes
         if e_v << lam1 > _COLUMN_CAP:
             # a certified quotient has length e(V), so its Koszul complex
@@ -453,30 +408,34 @@ def artinian_reduction(
                 f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
             )
             return None, measured
-        try:
-            primes = minimal_primes(shape)
-        except ResourceLimitError as exc:
-            trace.append(f"no Artinian reduction: {exc}")
-            return None, measured
-        rng = random.Random(0)  # a fixed draw keeps the report reproducible
-        for _ in range(_SOP_DRAWS):
-            forms = [[rng.randrange(PROXY_PRIMES[0]) for _ in range(lam1)] for _ in range(d)]
-            images = units + forms + origin
-            # full rank over GF(p) gives full rank over QQ: integer forms
-            # that pass here are a system of parameters in characteristic 0
-            if is_system_of_parameters(images, primes, fields[0]):
-                break
-            trace.append("drawn forms are not a system of parameters")
-        else:
-            return None, measured
+    # an Artinian ideal generated in degree D in lam1 variables contains,
+    # over an infinite extension field, a regular sequence of lam1 degree-D
+    # forms, so its quotient vanishes past top = lam1 (D - 1): the forms are
+    # a system of parameters exactly when the Hilbert function is 0 in
+    # degree top + 1
     top = lam1 * (specht_poly_degree(shape) - 1)
+    rng = random.Random(0)  # a fixed draw keeps the report reproducible
+    for _ in range(_SOP_DRAWS):
+        forms = [[rng.randrange(PROXY_PRIMES[0]) for _ in range(lam1)] for _ in range(d)]
+        images = units + forms + origin
+        # a GF(p) dimension bounds the rational one from above: integer
+        # forms that pass here are a system of parameters in characteristic 0
+        art = artinian_ideal(shape, images, fields[0])
+        h = hilbert_function(art, top + 1)
+        if not h[-1]:
+            break
+        trace.append("drawn forms are not a system of parameters")
+    else:
+        return None, measured
     quotients = []
     for fld in fields:
-        if quotients and primes and not is_system_of_parameters(images, primes, fld):
-            trace.append(f"drawn forms are not a system of parameters over {fld}")
-            return None, measured
-        art = artinian_ideal(shape, images, fld)
-        h = _h_vector(art, top)
+        if quotients:  # the first field's quotient is the accepted draw's
+            art = artinian_ideal(shape, images, fld)
+            h = hilbert_function(art, top + 1)
+            if h[-1]:
+                trace.append(f"drawn forms are not a system of parameters over {fld}")
+                return None, measured
+        h = h[: h.index(0)]
         if not quotients:
             measured.update(length=sum(h), h_vector=tuple(h))
         e_v = measured.get("multiplicity")

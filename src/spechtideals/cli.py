@@ -254,6 +254,8 @@ def _cmd_hilbert(args, report: Report) -> int:
 
 def _cmd_radical_check(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
+    if shape.is_trivial:  # I^Sp is R itself, and k = n + 1 exceeds n
+        raise ValueError("the trivial shape is excluded")
     fld = field_of(args.char)
     d_bound = args.max_deg if args.max_deg is not None else shape.parts[0] + 4
     n, k = shape.n, shape.parts[0] + 1

@@ -549,10 +549,15 @@ def specialize_component(ideal: Ideal, d: int) -> GradedBasis:
 
 
 def hilbert_function(ideal: Ideal, d_max: int) -> list[int]:
-    """dim (R/I)_d for d = 0 .. d_max."""
+    """dim (R/I)_d for d = 0 .. d_max.  R/I is generated in degree 1, so
+    it vanishes in every degree past its first zero, where nothing is
+    computed."""
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    return [ideal.quotient_dim(d) for d in range(d_max + 1)]
+    h: list[int] = []
+    for d in range(d_max + 1):
+        h.append(ideal.quotient_dim(d) if not h or h[-1] else 0)
+    return h
 
 
 def series_expand(numerator: list[int], denom_power: int, d_max: int) -> list[int]:

@@ -461,9 +461,6 @@ class MembershipCertificate:
     def verify(self) -> bool:
         return self.reconstruction() == self.target
 
-    def trace_text(self) -> str:
-        return "\n".join(self.trace)
-
 
 def _monomial_of_letters(nvars: int, letters) -> Monomial:
     e = [0] * nvars

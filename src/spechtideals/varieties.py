@@ -25,7 +25,9 @@ profile before it starts; past ``_LISTING_CAP`` letters it is refused, at
 the profile that crosses the cap.  Heights, purity and e(V), the number
 of minimal primes of height lambda_1, read only the profiles and their
 counts (a prime's height is n minus its number of blocks), so
-``height_and_purity`` lists nothing and has no cap.
+``height_and_purity`` lists nothing and has no cap.  No verdict path
+lists the primes either, so the cap guards only the ``minimal-primes``
+command.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ class SelfCheckError(RuntimeError):
     """An internal consistency check failed: a bug, never a finding."""
 
 
-# Letters minimal_primes may list: primes times n.  The listing and its CLI
-# report cost in proportion to it: `minimal-primes --shape 9,9` (43,758
-# primes, 787,644 letters) takes 3.7 s and 225 MB end to end, and
-# 3,3,3,3,3,3,3,3,3,3 (27,405 primes of 30 letters, refused) 5.4 s and
-# 278 MB (Python 3.11, one process on 2 cores).
+# Letters minimal_primes may list: primes times n.  Only the minimal-primes
+# command lists them.  The listing and its CLI report cost in proportion to
+# it: `minimal-primes --shape 9,9` (43,758 primes, 787,644 letters) takes
+# 3.7 s and 225 MB end to end, and 3,3,3,3,3,3,3,3,3,3 (27,405 primes of
+# 30 letters, refused) 5.4 s and 278 MB (Python 3.11, one process on 2 cores).
 _LISTING_CAP = 800_000
 
 

@@ -343,6 +343,8 @@ class TestRefusedInput:
             ["betti", "--shape", "2,2", "--char", "3", "--max-deg", "-1"],
             # a negative degree bound compares no degree
             ["radical-check", "--shape", "2,2", "--max-deg", "-1"],
+            # the trivial shape is refused as by cm-check, betti and purity
+            ["radical-check", "--shape", "3"],
             ["straighten", "--tableau", "1,2,3/4,5", "--prefix", "-1"],
             # the quotient has no component in a negative degree
             ["socle-probe", "--shape", "2,2", "--deg", "-1"],

@@ -1,22 +1,25 @@
 """Koszul Betti tables, Euler-characteristic consistency, CM verdicts."""
 
+import importlib.util
+import random
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from spechtideals import betti
+from spechtideals import betti, varieties
 from spechtideals.betti import (
     PROXY_PRIMES,
     artinian_ideal,
     artinian_reduction,
     cm_verdict,
     default_j_max,
-    is_system_of_parameters,
     koszul_betti,
 )
 from spechtideals.fields import QQ, field_of
-from spechtideals.ideals import GeneratedIdeal, QuotientRing, mult_injective, specht_ideal
+from spechtideals.ideals import GeneratedIdeal, QuotientRing, hilbert_function, mult_injective, specht_ideal
 from spechtideals.linalg import add_scaled, echelon_span, rank_sparse
 from spechtideals.poly import Polynomial, poly_to_row
 from spechtideals.specht import specht_poly_degree
@@ -24,6 +27,58 @@ from spechtideals.tableaux import Partition
 from spechtideals.varieties import ResourceLimitError, SelfCheckError, minimal_primes
 
 F = field_of(32003)
+
+
+def is_system_of_parameters(images, primes, fld):
+    """Reference: whether the ring map x_a -> images[a-1] leaves only the
+    origin of the vanishing locus, i.e. its linear forms are a system of
+    parameters, by one rank per minimal prime.
+
+    images[a-1] is the coefficient vector of the linear form x_a maps to.
+    The preimage of the component V_pi is cut out by the differences
+    images[a-1] - images[b-1] over the letters a, b of one block, so it is
+    the origin exactly when those rows have full rank.
+    """
+    nfree = len(images[0])
+    for pi in primes:
+        rows = []
+        for block in pi.blocks:
+            base = images[block[0] - 1]
+            for a in block[1:]:
+                rows.append({
+                    i: c - b for i, (c, b) in enumerate(zip(images[a - 1], base)) if c != b
+                })
+        if rank_sparse(rows, fld) < nfree:
+            return False
+    return True
+
+
+def _hilbert_decides(shape, images, fld):
+    """The decision ``artinian_reduction`` makes: the quotient by the image
+    vanishes in degree lambda_1 (D - 1) + 1."""
+    top = shape.parts[0] * (specht_poly_degree(shape) - 1)
+    return hilbert_function(artinian_ideal(shape, images, fld), top + 1)[-1] == 0
+
+
+def _refuse_listing(monkeypatch):
+    """Make every binding of ``varieties.minimal_primes`` in the package raise."""
+    real = varieties.minimal_primes
+
+    def refuse(shape):
+        raise AssertionError("the minimal primes were listed")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spechtideals") and getattr(mod, "minimal_primes", None) is real:
+            monkeypatch.setattr(mod, "minimal_primes", refuse)
+
+
+def _cm_grid():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS["cm-grid"]
 
 
 def maximal_ideal(n, fld=F):
@@ -364,7 +419,7 @@ class TestCmVerdict:
     def test_k_polynomial_matches_hilbert(self):
         # alternating Betti sums give the Hilbert numerator: strong
         # cross-check between the Koszul ranks and the component dimensions
-        from spechtideals.ideals import hilbert_function, series_expand
+        from spechtideals.ideals import series_expand
         from spechtideals.betti import default_j_max
 
         for parts, ch in (((2, 2), 0), ((3, 3), 2), ((2, 2, 1), 0)):
@@ -442,7 +497,7 @@ class TestArtinianReduction:
     @pytest.mark.parametrize("parts", LONG_LEGS)
     def test_table_gives_the_hilbert_series(self, parts):
         # sum_i (-1)^i beta_{i,j} t^j / (1-t)^n is the Hilbert series of R/I
-        from spechtideals.ideals import hilbert_function, series_expand
+        from spechtideals.ideals import series_expand
 
         shape = Partition(parts)
         v = cm_verdict(shape, 0)
@@ -498,17 +553,28 @@ class TestArtinianReduction:
 
     @pytest.mark.parametrize("parts", [(5, 1, 1, 1), (9, 9)])
     def test_column_cap_gate_before_any_listing(self, monkeypatch, parts):
-        # e(V) comes from the profile counts: the gate fires before the
-        # minimal primes are listed ((9,9) has 43,758 of them)
-        def refuse(shape):
-            raise AssertionError("the minimal primes were listed")
-
-        monkeypatch.setattr(betti, "minimal_primes", refuse)
+        # e(V) comes from the profile counts: the gate fires before anything
+        # is listed ((9,9) has 43,758 minimal primes)
+        _refuse_listing(monkeypatch)
         trace = []
         tables, _ = artinian_reduction(Partition(parts), [F], trace)
         assert tables is None
         assert trace[-1].startswith("no Artinian reduction: e(V) 2^lambda_1 = ")
         assert trace[-1].endswith("exceeds the column cap")
+
+    def test_certified_without_any_listing(self, monkeypatch):
+        # every characteristic-0 cm-check shape of the cm-grid workload is
+        # certified with the minimal primes never listed
+        _refuse_listing(monkeypatch)
+        wl = _cm_grid()
+        shapes = sorted({
+            q["argv"][2] for q in wl.once + wl.fixed
+            if q["kind"] == "cli" and q["argv"][0] == "cm-check" and q["argv"][4] == "0"
+        })
+        assert "3,3,1" in shapes and len(shapes) >= 10
+        for text in shapes:
+            v = cm_verdict(Partition.from_text(text), 0)
+            assert v.certificate.kind == "artinian-length", text
 
     def test_degenerate_draw_refused(self):
         shape = Partition((3, 3))
@@ -517,15 +583,43 @@ class TestArtinianReduction:
         # x_4 -> x_1 keeps the line of every component joining 1 and 4
         images = units + [[1, 0, 0], [2, 3, 5]] + [[0, 0, 0]]
         assert not is_system_of_parameters(images, primes, F)
+        assert not _hilbert_decides(shape, images, F)
         assert artinian_ideal(shape, images, F).quotient_dim(12) > 0
 
     def test_refused_draws_fall_back_to_koszul(self, monkeypatch):
-        monkeypatch.setattr(betti, "is_system_of_parameters", lambda *args: False)
+        # the zero ideal's quotient never vanishes, so every draw misses
+        monkeypatch.setattr(
+            betti, "artinian_ideal", lambda shape, images, fld: GeneratedIdeal(len(images[0]), fld, [])
+        )
         v = cm_verdict(Partition((2, 2)), 0)
         assert v.certificate.kind == "heuristic"
         assert v.certificate.length is None and v.certificate.multiplicity == 4
         assert sum("not a system of parameters" in t for t in v.trace) == betti._SOP_DRAWS
         assert v.is_cm and v.table.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+
+    def test_rank_test_agrees_with_hilbert_function(self):
+        # degenerate and full-range draws on every shape with n <= 6 that
+        # needs forms, over a small, a middle and the proxy characteristic
+        rng = random.Random(1)
+        seen = set()
+        for n in range(3, 7):
+            for parts in _partitions(n):
+                shape = Partition(parts)
+                lam1, d = parts[0], n - 1 - parts[0]
+                if d <= 0:
+                    continue
+                primes = minimal_primes(shape)
+                units = [[int(i == a) for i in range(lam1)] for a in range(lam1)]
+                for p in (2, 5, 32003):
+                    fld = field_of(p)
+                    for top in (2, 4, p):
+                        for _ in range(5):
+                            forms = [[rng.randrange(top) for _ in range(lam1)] for _ in range(d)]
+                            images = units + forms + [[0] * lam1]
+                            sop = is_system_of_parameters(images, primes, fld)
+                            assert _hilbert_decides(shape, images, fld) == sop, (parts, p, forms)
+                            seen.add(sop)
+        assert seen == {True, False}
 
     def test_no_forms_needed_for_hooks_with_one_leg(self):
         # (a,1): the translation sequence alone leaves the residue field

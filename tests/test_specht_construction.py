@@ -359,7 +359,7 @@ class TestReplay:
         Xk, kernel = membership_kernel(5, 2, 1, 3)
         combo = {Xk[i]: v for i, v in kernel[2].items()}
         cert = replay_radical_reduction(shape, 1, combo, QQ)
-        text = cert.trace_text()
+        text = "\n".join(cert.trace)
         assert "op1" in text and "h-relation ok" in text
 
     def test_failed_verification_is_a_self_check(self, monkeypatch):
