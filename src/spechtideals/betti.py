@@ -307,7 +307,10 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
         entries=entries,
         j_max=j_max,
         reduced=(start.nvars, m),
-        artinian_end=m + max(t for t, v in enumerate(qdim) if v) if qdim[-1] == 0 else None,
+        # R/I = 0 has no socle, and its table is empty
+        artinian_end=(
+            m + max(t for t, v in enumerate(qdim) if v) if qdim[-1] == 0 and any(qdim) else None
+        ),
     )
 
 

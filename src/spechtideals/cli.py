@@ -305,6 +305,8 @@ def _cmd_purity(args, report: Report) -> int:
 
 def _cmd_betti(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
+    if shape.is_trivial:  # I^Sp is R itself, in every characteristic
+        raise ValueError("the trivial shape is excluded")
     jm = resolve_j_max(shape, args.max_deg)
     if args.char == 0:
         table = cm_verdict(shape, 0, j_max=jm).table

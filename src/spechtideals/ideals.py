@@ -614,8 +614,9 @@ def equal_up_to_degree(left: Ideal, right: Ideal, d_bound: int) -> EqualityRepor
         raise ValueError("d_bound must be nonnegative")
     if (left.nvars, left.field) != (right.nvars, right.field):
         raise ValueError("ideals live in different rings")
-    incl_lr = _gen_inclusion_degree(left, right, d_bound)
-    incl_rl = _gen_inclusion_degree(right, left, d_bound) if incl_lr < 0 else -1.0
+    incl = _gen_inclusion_degree(left, right, d_bound)
+    if incl < 0:  # no certificate that left lies in right: try right in left
+        incl = _gen_inclusion_degree(right, left, d_bound)
     dims_l: list[int] = []
     dims_r: list[int] = []
     for d in range(d_bound + 1):
@@ -624,10 +625,8 @@ def equal_up_to_degree(left: Ideal, right: Ideal, d_bound: int) -> EqualityRepor
         dims_l.append(a)
         dims_r.append(b)
         if a == b:
-            if incl_lr == float("inf") or incl_rl == float("inf"):
+            if incl > d:
                 continue  # inclusion + equal dimension => equal components
-            if incl_lr > d or incl_rl > d:
-                continue
             if left.component(d) == right.component(d):
                 continue
             sep = _separating_vector(left, right, d)

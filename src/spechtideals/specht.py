@@ -8,6 +8,10 @@ sorting permutation reduction, and the full membership replay that
 rewrites x^a * (combination of Specht polynomials) lying in the squarefree
 ideal I_<d> as an explicit combination of frJ generators, with a
 machine-checked certificate.
+
+Every step that trades a two-box column (i, j) for a singleton s, in
+straightening, the support lemma and the sigma moves alike, applies
+(x_i - x_j) = (x_i - x_s) - (x_j - x_s) through ``_three_term``.
 """
 
 from __future__ import annotations
@@ -276,6 +280,19 @@ def three_term_split(t: Tableau, pair_col: int, single_col: int) -> tuple[Tablea
     )
 
 
+def _three_term(cls: TwoRowClass, pair: tuple[int, int], s: int) -> list[tuple[int, TwoRowClass]]:
+    """The two (sign, class) terms with f_cls = sum sign * f_class, by
+    (x_i - x_j) = (x_i - x_s) - (x_j - x_s) for the column pair = (i, j) of
+    cls and its singleton s: first the class with column (i, s) and singleton
+    j, then the one with column (j, s) and singleton i, both canonical."""
+    i, j = pair
+    others = [p for p in cls.pairs if p != pair]
+    rest = [v for v in cls.singletons if v != s]
+    c1, sign1 = make_class(cls.nvars, others + [(i, s)], rest + [j])
+    c2, sign2 = make_class(cls.nvars, others + [(j, s)], rest + [i])
+    return [(sign1, c1), (-sign2, c2)]
+
+
 def _merge(acc: dict, cls: TwoRowClass, coeff, fld: Field = QQ):
     """Add coeff to acc[cls] over fld, dropping the entry when it cancels."""
     c = fld.add(acc.get(cls, 0), coeff)
@@ -318,19 +335,9 @@ def _straighten(cls: TwoRowClass, k: int, coeff: int, acc: dict, depth: int):
             _straighten(tb, k, -coeff, acc, depth + 1)
             return
     if mid and singles and mid[-1][0] > singles[0]:
-        i, j = mid[-1]
-        v = singles[0]  # v < i < j
-        rest = singles[1:]
-        pc = tuple(sorted(mid[:-1] + ((v, j),)))
-        pd = tuple(sorted(mid[:-1] + ((v, i),)))
-        tc = TwoRowClass(
-            cls.nvars, cls.pairs[:k] + pc, tuple(sorted(rest + (i,)))
-        )
-        td = TwoRowClass(
-            cls.nvars, cls.pairs[:k] + pd, tuple(sorted(rest + (j,)))
-        )
-        _straighten(tc, k, coeff, acc, depth + 1)
-        _straighten(td, k, -coeff, acc, depth + 1)
+        # the class with column (v, j) first, v = singles[0] < i < j
+        for sign, term in reversed(_three_term(cls, mid[-1], singles[0])):
+            _straighten(term, k, sign * coeff, acc, depth + 1)
         return
     _merge(acc, cls, coeff)
 
@@ -530,29 +537,17 @@ def _support_lemma_terms(cls: TwoRowClass, k: int, coeff, ctx: FrJ, trace: list)
     if not shared:
         raise AssertionError("class unexpectedly lies in X")
     i, j = shared[0]
-    s = cls.singletons[0]  # s > k since all of 1..k sit in pairs
-    others = tuple(p for p in cls.pairs if p != (i, j))
-    c1 = TwoRowClass(
-        cls.nvars,
-        tuple(sorted(others + ((i, s),))),
-        tuple(sorted(set(cls.singletons) - {s} | {j})),
-    )
-    c2 = TwoRowClass(
-        cls.nvars,
-        tuple(sorted(others + ((j, s),))),
-        tuple(sorted(set(cls.singletons) - {s} | {i})),
-    )
+    s = cls.singletons[0]  # s > k since all of 1..k sit in pairs, so the signs are +, -
+    (sign1, c1), (sign2, c2) = _three_term(cls, (i, j), s)
     trace.append(
         f"phase0 three-term {cls.text()} -> +{c1.text()} -{c2.text()} "
         f"via singleton {s} coeff={coeff}"
     )
     return [
-        (coeff, _monomial_of_letters(cls.nvars, prefix - {j}), ctx.gen_index((j,), c1)),
-        (
-            fld.neg(coeff),
-            _monomial_of_letters(cls.nvars, prefix - {i}),
-            ctx.gen_index((i,), c2),
-        ),
+        (fld.mul(coeff, sign1), _monomial_of_letters(cls.nvars, prefix - {j}),
+         ctx.gen_index((j,), c1)),
+        (fld.mul(coeff, sign2), _monomial_of_letters(cls.nvars, prefix - {i}),
+         ctx.gen_index((i,), c2)),
     ]
 
 
@@ -640,58 +635,43 @@ def replay_radical_reduction(
                     f"round {round_no} op2 {cls.text()} jvec {old}->{new} "
                     f"coeff={c} -> {target_cls.text()}"
                 )
-                terms.extend(_sigma_move_terms(cls, k, c, ctx))
+                terms.extend(_sigma_move_terms(cls, k, c, ctx, target_cls))
             _merge(nxt, target_cls, c, fld)
         current = nxt
 
     return MembershipCertificate(phi, terms, ctx, trace)
 
 
-def _sigma_move_terms(cls: TwoRowClass, k: int, coeff, ctx: FrJ):
-    """Transposition chain realizing sigma_T, one frJ term per move."""
-    fld = ctx.field
-    nvars = cls.nvars
+def _sigma_move_terms(cls: TwoRowClass, k: int, coeff, ctx: FrJ, target: TwoRowClass):
+    """Transposition chain from cls to target = sigma_reduce(cls, k)[1], one
+    frJ term per move."""
     bots, mid, singles = frame_parts(cls, k)
-    bots = list(bots)
-    singles = list(singles)
-    values = sorted(singles + bots)
-    target_bots = values[len(singles) :]
-    prefix_all = set(range(1, k + 1))
+    bots, singles = list(bots), list(singles)
     terms = []
 
-    def rebuild() -> TwoRowClass:
+    def state() -> TwoRowClass:
         prefix_pairs = tuple((l + 1, bots[l]) for l in range(k))
-        return TwoRowClass(nvars, prefix_pairs + mid, tuple(sorted(singles)))
+        return TwoRowClass(cls.nvars, prefix_pairs + mid, tuple(sorted(singles)))
 
     def swap(s_val: int, l: int):
-        """Swap singleton value s_val with the bottom of prefix column l+1."""
-        w = bots[l]
-        state = rebuild()
-        other_pairs = tuple(p for p in state.pairs if p != (l + 1, w))
-        lo, hi = min(s_val, w), max(s_val, w)
-        sign = 1 if s_val < w else -1
-        witness = TwoRowClass(
-            nvars,
-            tuple(sorted(other_pairs + ((lo, hi),))),
-            tuple(sorted((set(singles) - {s_val}) | {l + 1})),
-        )
-        mono = _monomial_of_letters(nvars, prefix_all - {l + 1})
-        terms.append((fld.mul(coeff, sign), mono, ctx.gen_index((l + 1,), witness)))
+        """Swap singleton value s_val with the bottom of prefix column l+1.
+
+        f_state = f_moved + sign * f_witness, and x_{l+1} is free in the
+        witness, so x^a * sign * f_witness is the move's frJ term."""
+        _, (sign, witness) = _three_term(state(), (l + 1, bots[l]), s_val)
+        mono = _monomial_of_letters(cls.nvars, set(range(1, k + 1)) - {l + 1})
+        terms.append((ctx.field.mul(coeff, sign), mono, ctx.gen_index((l + 1,), witness)))
         singles.remove(s_val)
-        singles.append(w)
+        singles.append(bots[l])
         bots[l] = s_val
 
-    for l in range(k):
-        t = target_bots[l]
+    for l, (_, t) in enumerate(target.pairs[:k]):
         if bots[l] == t:
             continue
-        if t in singles:
-            swap(t, l)
-        else:
-            l2 = bots.index(t)
-            swap(singles[0], l2)
-            swap(t, l)
-    if sorted(bots) != list(bots) or bots != target_bots:
+        if t not in singles:  # free t through the first singleton in move order
+            swap(singles[0], bots.index(t))
+        swap(t, l)
+    if state() != target:
         raise AssertionError("sigma move chain did not reach the sorted state")
     return terms
 

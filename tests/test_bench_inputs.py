@@ -8,28 +8,17 @@ replay specs at seed 201.
 """
 
 import hashlib
-import importlib.util
 import json
 import random
-import sys
-from pathlib import Path
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import perfbench_module
 
 # sha256 of the inputs the benchmark's recorded baseline was run with
 _DIGEST = "b74619fa7a9eb1026a8a52ed37fa07b7cddd82f8daf9978d7df482937dfab58f"
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up there
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def replay_digest(seed: int = 201) -> str:
-    workloads, replays = _load("workloads"), _load("replays")
+    workloads, replays = perfbench_module("workloads"), perfbench_module("replays")
     out = []
     for name in sorted(workloads.WORKLOADS):
         for item in replays.build(workloads.WORKLOADS[name].replays, random.Random(seed)):

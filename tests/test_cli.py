@@ -364,6 +364,14 @@ class TestRefusedInput:
         assert out.stdout == ""
         assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("char", ["0", "2"])
+    def test_betti_refuses_the_trivial_shape(self, char):
+        # R/I = 0: a refusal in every characteristic, not an internal error
+        out = _cli_process(["betti", "--shape", "3", "--char", char], stdout=subprocess.PIPE)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: the trivial shape is excluded\n"
+
     def test_bounds_at_the_edge_stay_valid(self):
         payload, code = run_json(["cm-check", "--shape", "3,3", "--max-deg", "3"])
         assert code == 0 and verdict(payload, "is_cm") is True

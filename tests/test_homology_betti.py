@@ -1,13 +1,12 @@
 """Koszul Betti tables, Euler-characteristic consistency, CM verdicts."""
 
-import importlib.util
 import random
 import sys
 from itertools import combinations
 from math import comb
-from pathlib import Path
 
 import pytest
+from conftest import perfbench_module
 
 from spechtideals import betti, varieties
 from spechtideals.betti import (
@@ -72,15 +71,6 @@ def _refuse_listing(monkeypatch):
             monkeypatch.setattr(mod, "minimal_primes", refuse)
 
 
-def _cm_grid():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up there
-    spec.loader.exec_module(mod)
-    return mod.WORKLOADS["cm-grid"]
-
-
 def maximal_ideal(n, fld=F):
     return GeneratedIdeal(n, fld, [Polynomial.variable(n, i, fld) for i in range(n)])
 
@@ -90,6 +80,11 @@ class TestKoszul:
         for n in (3, 4):
             table = koszul_betti(maximal_ideal(n), n + 1)
             assert table.entries == {(i, i): comb(n, i) for i in range(n + 1)}
+
+    def test_zero_quotient(self):
+        # R/I = 0, as for the trivial shape: an empty table, not a crash
+        table = koszul_betti(GeneratedIdeal(2, F, [Polynomial.constant(2, 1, F)]), 3)
+        assert table.entries == {} and table.artinian_end is None
 
     def test_three_three_char_zero_proxy(self):
         tables = []
@@ -566,7 +561,7 @@ class TestArtinianReduction:
         # every characteristic-0 cm-check shape of the cm-grid workload is
         # certified with the minimal primes never listed
         _refuse_listing(monkeypatch)
-        wl = _cm_grid()
+        wl = perfbench_module("workloads").WORKLOADS["cm-grid"]
         shapes = sorted({
             q["argv"][2] for q in wl.once + wl.fixed
             if q["kind"] == "cli" and q["argv"][0] == "cm-check" and q["argv"][4] == "0"

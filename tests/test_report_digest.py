@@ -8,29 +8,18 @@ fails here before the benchmark sees it.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
+
+from conftest import perfbench_module
 
 from spechtideals import cli
-
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # sha256 of the rendered reports and exit codes the queries give
 _DIGEST = "a5dd0eddda98ef8feea059ac27fcd2ef84133e4cd3aa82478633bde00aab6ca0"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _PERFBENCH / "workloads.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up there
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def report_digest() -> str:
-    wl = _workloads().WORKLOADS["cm-grid"]
+    wl = perfbench_module("workloads").WORKLOADS["cm-grid"]
     argvs = sorted({
         tuple(q["argv"]) for q in wl.once + wl.fixed
         if q["kind"] == "cli" and q["argv"][0] in ("cm-check", "betti")

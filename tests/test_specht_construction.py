@@ -1,8 +1,11 @@
 """Specht polynomials, the support set, straightening, and reduction replay."""
 
+import hashlib
+import json
 import random
 
 import pytest
+from conftest import perfbench_module
 
 from spechtideals.fields import QQ, field_of
 from spechtideals.linalg import echelon_span, span_and_kernel
@@ -599,6 +602,31 @@ class TestPinnedCertificates:
             "W-restriction [1:3 2:5 4:6 | ] via column (1,3)",
             "W-restriction [1:2 3:4 5:6 | ] via column (1,2)",
         ]
+
+    def test_seeded_replays_digest(self):
+        # two seeded inputs per shape and k, at seeds 0-7: 480 certificates,
+        # built as the benchmark builds its replay inputs
+        build = perfbench_module("replays").build
+        specs = [
+            {"family": "radical", "shape": [n - d, d], "k": [k], "count": 2}
+            for n, d in ((5, 2), (6, 2), (6, 3), (7, 3), (8, 4), (8, 3), (9, 4))
+            for k in range(d)
+        ] + [
+            {"family": "aa1", "shape": [a, a, 1], "k": [k], "count": 2}
+            for a in (2, 3, 4) for k in range(1, a + 1)
+        ]
+        out = []
+        for seed in range(8):
+            for item in build(specs, random.Random(seed)):
+                if item.family == "radical":
+                    cert = replay_radical_reduction(item.shape, item.k, item.combo, QQ)
+                else:
+                    cert = replay_aa1_reduction(item.shape.parts[0], item.k, item.combo, QQ)
+                combination = [[str(c), list(m), idx] for c, m, idx in cert.combination]
+                out.append([item.label, combination, cert.trace])
+        assert len(out) == 480
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        assert digest == "915b4f5faeafafc86c1d1e5b22fe9c6a6ba19ea7e588e83fc164daec8be32726"
 
     def test_two_row_frj_first_generators(self):
         ctx = TwoRowFrJ(5, 2, QQ)

@@ -6,25 +6,16 @@ that moves such a method into a base class or deletes a function would
 break the traced benchmark run; this test fails first.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
+
+from conftest import perfbench_module
 
 import spechtideals.cli  # noqa: F401  (imports every module a target names)
-
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def test_every_target_resolves():
     unresolved = []
-    for module, path, *_ in _tracing_module().TARGETS:
+    for module, path, *_ in perfbench_module("tracing").TARGETS:
         mod = sys.modules.get(f"spechtideals.{module}")
         if "." in path:
             cls_name, meth = path.split(".")
