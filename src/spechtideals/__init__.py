@@ -19,17 +19,14 @@ from .tableaux import (
     NATURAL,
     Partition,
     Tableau,
-    cm_shape_class,
     count_standard_tableaux,
     enumerate_partitions,
     enumerate_standard_tableaux,
-    normal_form,
 )
 from .specht import (
     MembershipCertificate,
     SpechtSystem,
     TwoRowClass,
-    TwoRowFrame,
     independence_rank,
     replay_aa1_reduction,
     replay_radical_reduction,
@@ -37,7 +34,6 @@ from .specht import (
     specht_poly,
     straighten_quasi_h,
     supp,
-    three_term_split,
 )
 from .ideals import (
     GeneratedIdeal,
@@ -87,9 +83,7 @@ __all__ = [
     "SquarefreeDegreeIdeal",
     "Tableau",
     "TwoRowClass",
-    "TwoRowFrame",
     "clique_ideal",
-    "cm_shape_class",
     "cm_verdict",
     "condition_star",
     "count_standard_tableaux",
@@ -106,7 +100,6 @@ __all__ = [
     "koszul_betti",
     "minimal_primes",
     "mult_injective",
-    "normal_form",
     "replay_aa1_reduction",
     "replay_radical_reduction",
     "set_partitions",
@@ -119,5 +112,4 @@ __all__ = [
     "substitute",
     "sum_ideal",
     "supp",
-    "three_term_split",
 ]

@@ -273,8 +273,7 @@ def _cmd_radical_check(args, report: Report) -> int:
     report.add("equal_up_to_degree", rep.equal, provenance)
     if not rep.equal:
         report.add("first_disagreeing_degree", rep.first_disagreement, provenance)
-        if rep.separating is not None:
-            report.add("separating_polynomial", str(rep.separating), provenance)
+        report.add("separating_polynomial", str(rep.separating), provenance)
     return 0 if rep.equal else 1
 
 

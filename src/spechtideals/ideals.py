@@ -44,7 +44,8 @@ k-subset in one pass, and the reduced rank passes it only the monomials
 that no coordinate ideal pins.  The full n-variable incidence,
 ``IntersectionInk._incidence``, serves only ``component``, whose null
 space separating polynomials and normal forms need; ``contains`` sums
-coefficients over the same groups.
+coefficients over the same groups, and no command calls it
+(``SpechtIdeal.lies_in`` settles I^Sp in I_{n,k} in closed form).
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from .poly import (
 )
 from .specht import SpechtSystem
 from .tableaux import Partition
+from .varieties import SelfCheckError
 
 
 @lru_cache(maxsize=None)
@@ -581,9 +583,6 @@ class EqualityReport:
     dims_left: list[int]
     dims_right: list[int]
 
-    def __bool__(self):
-        return self.equal
-
 
 def _gen_inclusion_degree(src: Ideal, dst: Ideal, limit: int) -> float:
     """First degree at which a generator of src fails membership in dst."""
@@ -637,15 +636,14 @@ def equal_up_to_degree(left: Ideal, right: Ideal, d_bound: int) -> EqualityRepor
     return EqualityReport(True, d_bound, None, None, dims_l, dims_r)
 
 
-def _separating_vector(bigger: Ideal, smaller: Ideal, d: int) -> Polynomial | None:
+def _separating_vector(bigger: Ideal, smaller: Ideal, d: int) -> Polynomial:
+    """A basis vector of bigger's degree-d component outside smaller's; the
+    caller asks only when one exists (larger, or equal size, other basis)."""
     small_basis = smaller.component(d)
     for v in bigger.component(d).vectors():
         if not small_basis.contains(v):
             return v
-    for v in small_basis.vectors():  # disagreement the other way round
-        if not bigger.contains(v):
-            return v
-    return None
+    raise SelfCheckError(f"no degree-{d} vector separates components that differ")
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,22 @@ rewrites x^a * (combination of Specht polynomials) lying in the squarefree
 ideal I_<d> as an explicit combination of frJ generators, with a
 machine-checked certificate.
 
-Every step that trades a two-box column (i, j) for a singleton s, in
-straightening, the support lemma and the sigma moves alike, applies
-(x_i - x_j) = (x_i - x_s) - (x_j - x_s) through ``_three_term``.
+The relation (x_i - x_j) = (x_i - x_s) - (x_j - x_s) has one implementation,
+``_three_term`` on column classes, which every trade of a two-box column for
+a singleton (straightening, the support lemma, the sigma moves) applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
+from math import factorial, prod
 
 from .fields import Field, QQ
 from .linalg import echelon_span
 from .poly import Monomial, Polynomial, mono_support
-from .tableaux import Partition, Tableau, enumerate_standard_tableaux
-from .varieties import SelfCheckError
+from .tableaux import Partition, Tableau, count_standard_tableaux, enumerate_standard_tableaux
+from .varieties import ResourceLimitError, SelfCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +79,16 @@ def supp(p: Polynomial) -> set:
     return out
 
 
+_RANK_TERM_CAP = 100_000  # terms of the Specht polynomials one rank builds
+
+
 def independence_rank(shape: Partition, fld: Field = QQ) -> int:
-    """Rank of the standard Specht polynomials; equals the standard tableau
-    count in every characteristic."""
+    """Rank of the standard Specht polynomials: the standard tableau count in
+    every characteristic.  Refused before any is built past ``_RANK_TERM_CAP``
+    terms, prod(c!) each over the column lengths c ((8,8) has 366,080)."""
+    terms = count_standard_tableaux(shape) * prod(map(factorial, shape.conjugate()))
+    if terms > _RANK_TERM_CAP:
+        raise ResourceLimitError(f"{shape}: {terms} Specht polynomial terms, past the cap of {_RANK_TERM_CAP}")
     polys = [specht_poly(t, fld) for t in enumerate_standard_tableaux(shape)]
     return echelon_span(polys, specht_poly_degree(shape)).dimension
 
@@ -253,33 +261,6 @@ def in_Z(cls: TwoRowClass, k: int) -> bool:
 # Three-term relation and straightening
 
 
-def three_term_split(t: Tableau, pair_col: int, single_col: int) -> tuple[Tableau, Tableau]:
-    """Split f_T = f_T1 + f_T2 along a length-2 column and a singleton column.
-
-    For the column (i over j) and singleton k: T1 carries (i over k) with
-    singleton j, T2 carries (k over j) with singleton i.  The identity holds
-    literally, without sign normalization.
-    """
-    if len(t.rows) != 2:
-        raise ValueError("three-term split needs a two-row tableau")
-    row1, row2 = list(t.rows[0]), list(t.rows[1])
-    if not (0 <= pair_col < len(row2)):
-        raise ValueError(f"column {pair_col} is not a length-2 column")
-    if not (len(row2) <= single_col < len(row1)):
-        raise ValueError(f"column {single_col} is not a singleton column")
-    i, j, s = row1[pair_col], row2[pair_col], row1[single_col]
-    t1_row1, t1_row2 = list(row1), list(row2)
-    t1_row2[pair_col] = s
-    t1_row1[single_col] = j
-    t2_row1, t2_row2 = list(row1), list(row2)
-    t2_row1[pair_col] = s
-    t2_row1[single_col] = i
-    return (
-        Tableau((tuple(t1_row1), tuple(t1_row2))),
-        Tableau((tuple(t2_row1), tuple(t2_row2))),
-    )
-
-
 def _three_term(cls: TwoRowClass, pair: tuple[int, int], s: int) -> list[tuple[int, TwoRowClass]]:
     """The two (sign, class) terms with f_cls = sum sign * f_class, by
     (x_i - x_j) = (x_i - x_s) - (x_j - x_s) for the column pair = (i, j) of
@@ -340,43 +321,6 @@ def _straighten(cls: TwoRowClass, k: int, coeff: int, acc: dict, depth: int):
             _straighten(term, k, sign * coeff, acc, depth + 1)
         return
     _merge(acc, cls, coeff)
-
-
-@dataclass(frozen=True)
-class TwoRowFrame:
-    """The X / Y / Z sets for lambda = (n-d, d) and the prefix x_1..x_k.
-
-    Classes live in Tab(mu) for mu = (n-d, d-1) on the letters 1..n-1.
-    """
-
-    n: int
-    d: int
-    k: int
-
-    def __post_init__(self):
-        if self.d < 2 or self.n - self.d < self.d:
-            raise ValueError("frame needs lambda = (n-d, d) with n >= 2d, d >= 2")
-        if not 1 <= self.k <= self.d - 1:
-            raise ValueError("prefix length must satisfy 1 <= k <= d-1")
-
-    @property
-    def nvars(self) -> int:
-        return self.n - 1
-
-    @property
-    def npairs(self) -> int:
-        return self.d - 1
-
-    def X(self) -> list[TwoRowClass]:
-        return [
-            c for c in all_two_row_classes(self.nvars, self.npairs) if in_X(c, self.k)
-        ]
-
-    def Y(self) -> list[TwoRowClass]:
-        return [c for c in self.X() if in_Y(c, self.k)]
-
-    def Z(self) -> list[TwoRowClass]:
-        return [c for c in self.X() if in_Z(c, self.k)]
 
 
 def sigma_reduce(cls: TwoRowClass, k: int) -> tuple[dict, TwoRowClass]:

@@ -1,4 +1,4 @@
-"""Partitions, Young tableaux, standard enumeration, and shape classification.
+"""Partitions, Young tableaux, standard enumeration and hook-length counts.
 
 Boxes are indexed (row, column), 1-based, English convention: row 1 is the
 longest.  A tableau is a bijective filling of the diagram by 1..n.  Letter
@@ -85,24 +85,6 @@ def enumerate_partitions(n: int) -> list[Partition]:
             yield from gen(remaining - part, part, prefix + (part,))
 
     return [Partition(parts) for parts in gen(n, n, ())]
-
-
-def cm_shape_class(shape: Partition) -> str:
-    """Classify a shape as hook / two_row / aa1 / other.
-
-    These are the only shapes whose Specht-ideal quotients can be
-    Cohen-Macaulay; overlaps resolve in that priority, so (a, 1) is a hook.
-    """
-    if shape.is_trivial:
-        raise ValueError("the trivial one-row shape is excluded")
-    parts = shape.parts
-    if parts[1] == 1:
-        return "hook"
-    if len(parts) == 2:
-        return "two_row"
-    if len(parts) == 3 and parts[0] == parts[1] and parts[2] == 1:
-        return "aa1"
-    return "other"
 
 
 @dataclass(frozen=True)
@@ -242,43 +224,3 @@ def count_standard_tableaux(shape: Partition) -> int:
     """Number of standard tableaux, by the hook length formula."""
     return _hook_count(shape.parts)
 
-
-def normal_form(t: Tableau) -> tuple[Tableau, int]:
-    """Canonical representative of the column-equivalence class, with sign.
-
-    Sorts within each column (each in-column transposition flips the sign of
-    the Specht polynomial) and then sorts columns of equal length by top
-    entry (sign-free).  The Specht polynomial of the result equals
-    sign * specht_poly(t).
-    """
-    cols = t.columns()
-    sign = 1
-    sorted_cols = []
-    for col in cols:
-        perm_sign, sorted_col = _sort_sign(col)
-        sign *= perm_sign
-        sorted_cols.append(sorted_col)
-    # stable-sort runs of equal-length columns by top entry
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for col in sorted_cols:
-        by_len.setdefault(len(col), []).append(col)
-    arranged = []
-    for length in sorted(by_len, reverse=True):
-        arranged.extend(sorted(by_len[length], key=lambda c: c[0]))
-    nrows = max(len(c) for c in arranged)
-    rows = tuple(
-        tuple(col[i] for col in arranged if len(col) > i) for i in range(nrows)
-    )
-    return Tableau(rows), sign
-
-
-def _sort_sign(values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sign of the permutation sorting the values ascending."""
-    vals = list(values)
-    sign = 1
-    for i in range(len(vals)):
-        k = min(range(i, len(vals)), key=vals.__getitem__)
-        if k != i:
-            vals[i], vals[k] = vals[k], vals[i]
-            sign = -sign
-    return sign, tuple(vals)

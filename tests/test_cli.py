@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from spechtideals import betti, cli, specht, varieties
+from spechtideals import betti, cli, linalg, specht, varieties
 from spechtideals.betti import ProxyDisagreement, SelfCheckError
 from spechtideals.cli import _COMMANDS, run
 
@@ -319,6 +320,14 @@ class TestErrors:
         _, code = run(["minimal-primes", "--shape", "12,12"])
         assert code == 3
 
+    def test_catalan_past_the_term_cap_exits_three_at_once(self):
+        # C_8 * 2^8 = 366,080 Specht polynomial terms: refused before any is built
+        start = time.monotonic()
+        out = _cli_process(["catalan", "--n", "8"], stdout=subprocess.PIPE)
+        assert time.monotonic() - start < 2
+        assert out.returncode == 3
+        assert [v["name"] for v in json.loads(out.stdout)["verdicts"]] == ["resource_cap"]
+
     def test_unknown_command_exit_two(self):
         _, code = run(["frobnicate"])
         assert code == 2
@@ -449,6 +458,15 @@ class TestInternalError:
         assert "disagrees with the closed form" in verdict(payload, "internal_error")
         assert payload["tables"] == {}
 
+    def test_components_that_differ_without_a_separating_vector(self, monkeypatch):
+        # degree 3 of (3,2,1) differs by dimension, so a basis vector of the
+        # larger component must lie outside the smaller one
+        monkeypatch.setattr(linalg.GradedBasis, "contains", lambda self, p: True)
+        payload, code = run_json(["radical-check", "--shape", "3,2,1", "--max-deg", "4"])
+        assert code == 4
+        assert [v["name"] for v in payload["verdicts"]] == ["internal_error"]
+        assert "no degree-3 vector separates" in verdict(payload, "internal_error")
+
     def test_frontier_in_a_process(self):
         out = _cli_process(["cm-check", "--shape", "3,3,1", "--char", "0"], stdout=subprocess.PIPE)
         assert out.returncode == 0 and out.stderr == ""
@@ -513,3 +531,13 @@ class TestImport:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_export_list(self):
+        import spechtideals
+
+        names = spechtideals.__all__
+        assert len(names) == len(set(names))
+        assert [n for n in names if not hasattr(spechtideals, n)] == []
+        star: dict = {}
+        exec("from spechtideals import *", star)
+        assert set(names) <= set(star)

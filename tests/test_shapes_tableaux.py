@@ -1,21 +1,20 @@
-"""Partitions, tableaux, standard enumeration, normal forms, shape classes."""
+"""Partitions, tableaux, standard enumeration, hook-length counts, and the
+column normal form of one- and two-row tableaux."""
 
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spechtideals.specht import specht_poly
+from spechtideals.specht import specht_poly, tableau_to_class
 from spechtideals.tableaux import (
     INVERSE,
     NATURAL,
     Partition,
     Tableau,
-    cm_shape_class,
     count_standard_tableaux,
     enumerate_partitions,
     enumerate_standard_tableaux,
-    normal_form,
 )
 
 
@@ -47,28 +46,6 @@ class TestPartition:
     def test_enumerate_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             enumerate_partitions(0)
-
-
-class TestShapeClass:
-    @pytest.mark.parametrize(
-        "parts,kind",
-        [
-            ((4, 1, 1), "hook"),
-            ((3, 3), "two_row"),
-            ((3, 2, 1), "other"),
-            ((3, 1), "hook"),
-            ((2, 2, 1), "aa1"),
-            ((4, 2), "two_row"),
-            ((3, 3, 1), "aa1"),
-            ((2, 2, 2), "other"),
-        ],
-    )
-    def test_classes(self, parts, kind):
-        assert cm_shape_class(Partition(parts)) == kind
-
-    def test_trivial_rejected(self):
-        with pytest.raises(ValueError):
-            cm_shape_class(Partition((5,)))
 
 
 class TestStandardTableaux:
@@ -128,36 +105,43 @@ class TestTableau:
             Tableau(((1,), (2, 3)))
 
 
+def canonical_tableau(cls):
+    """The tableau whose columns are the pairs of cls, then its singletons."""
+    tops = tuple(lo for lo, _ in cls.pairs) + cls.singletons
+    bottoms = tuple(hi for _, hi in cls.pairs)
+    return Tableau((tops, bottoms) if bottoms else (tops,))
+
+
 class TestNormalForm:
+    """``specht.tableau_to_class``, the normal form that ``straighten`` and
+    the replay intake use: f_class = sign * specht_poly(t)."""
+
     def test_already_normal(self):
         t = Tableau.from_text("1,3/2")
-        nf, sign = normal_form(t)
-        assert nf == t and sign == 1
+        cls, sign = tableau_to_class(t)
+        assert canonical_tableau(cls) == t and sign == 1
 
     def test_column_swap_negates(self):
         t = Tableau.from_text("2,3/1")
-        nf, sign = normal_form(t)
+        cls, sign = tableau_to_class(t)
         assert sign == -1
-        assert specht_poly(nf) == specht_poly(t).scale(-1)
+        assert cls.f() == specht_poly(t).scale(-1)
 
     def test_column_reorder_sign_free(self):
         a = Tableau.from_text("1,3/2,4")
         b = Tableau.from_text("3,1/4,2")
-        nfa, sa = normal_form(a)
-        nfb, sb = normal_form(b)
-        assert nfa == nfb and sa == sb == 1
+        assert tableau_to_class(a) == tableau_to_class(b)
+        assert tableau_to_class(a)[1] == 1
         assert specht_poly(a) == specht_poly(b)
 
     def test_idempotent(self):
-        t = Tableau.from_text("5,2/4,1/3")
-        nf, _ = normal_form(t)
-        again, sign = normal_form(nf)
-        assert again == nf and sign == 1
+        cls, _ = tableau_to_class(Tableau.from_text("5,2,3/4,1"))
+        assert tableau_to_class(canonical_tableau(cls)) == (cls, 1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_sign_consistency_random(self, data):
-        shapes = [(2, 2), (3, 2), (2, 2, 1), (3, 1, 1), (4, 2)]
+        shapes = [(3,), (2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (3, 3)]
         parts = data.draw(st.sampled_from(shapes))
         shape = Partition(parts)
         perm = data.draw(st.permutations(range(1, shape.n + 1)))
@@ -166,9 +150,7 @@ class TestNormalForm:
             rows.append(tuple(perm[idx : idx + width]))
             idx += width
         t = Tableau(tuple(rows))
-        nf, sign = normal_form(t)
-        f_t = specht_poly(t)
-        f_nf = specht_poly(nf)
-        assert f_nf == f_t.scale(sign)
-        # equivalence invariance: normalizing the normal form changes nothing
-        assert normal_form(nf)[0] == nf
+        cls, sign = tableau_to_class(t)
+        assert cls.f() == specht_poly(t).scale(sign)
+        # equivalence invariance: the class's own tableau maps to it, sign 1
+        assert tableau_to_class(canonical_tableau(cls)) == (cls, 1)

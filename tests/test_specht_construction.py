@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 from conftest import perfbench_module
@@ -17,6 +18,8 @@ from spechtideals.specht import (
     SpechtSystem,
     TwoRowClass,
     TwoRowFrJ,
+    _RANK_TERM_CAP,
+    _three_term,
     aa1_h_and_bar,
     all_two_row_classes,
     h_poly,
@@ -32,9 +35,15 @@ from spechtideals.specht import (
     specht_poly_degree,
     straighten_quasi_h,
     supp,
-    three_term_split,
+    tableau_to_class,
 )
-from spechtideals.tableaux import Partition, Tableau, enumerate_standard_tableaux
+from spechtideals.tableaux import (
+    Partition,
+    Tableau,
+    count_standard_tableaux,
+    enumerate_standard_tableaux,
+)
+from spechtideals.varieties import ResourceLimitError
 
 
 def x(i, nvars, fld=QQ):
@@ -109,14 +118,46 @@ class TestSupp:
         p = x(1, 2) - x(2, 2)
         assert supp(p) == {sqf((), 2), sqf((1,), 2), sqf((2,), 2)}
 
+    @pytest.mark.parametrize("nvars,npairs", [(4, 1), (5, 2), (6, 2), (7, 3), (6, 3)])
+    def test_free_letters_are_the_two_row_frj_letters(self, nvars, npairs):
+        # x_i lies outside supp(f_T) exactly for the singletons i of T
+        gens = TwoRowFrJ(nvars, npairs, QQ).gens
+        for cls in all_two_row_classes(nvars, npairs):
+            s = supp(cls.f())
+            free = {(i,) for i in range(1, nvars + 1) if sqf((i,), nvars) not in s}
+            assert free == {(i,) for i in cls.singletons}
+            assert free == {L for L, c in gens if c == cls}
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_free_pairs_are_the_aa1_frj_letters(self, a):
+        # x_i x_j lies outside supp(f_T) exactly for the columns (i, j) of T
+        nvars = 2 * a
+        gens = AA1FrJ(a, QQ).gens
+        for cls in all_two_row_classes(nvars, a):
+            s = supp(cls.f())
+            free = {
+                p
+                for p in combinations(range(1, nvars + 1), 2)
+                if sqf(p, nvars) not in s
+            }
+            assert free == set(cls.pairs)
+            assert free == {L for L, c in gens if c == cls}
+
 
 class TestThreeTermSplit:
+    """``_three_term``: f_T = sign1 f_T1 + sign2 f_T2 for a column (i, j)
+    and a singleton s of T, by (x_i - x_j) = (x_i - x_s) - (x_j - x_s)."""
+
     def test_telescoping(self):
-        t = Tableau.from_text("1,3/2")
-        t1, t2 = three_term_split(t, 0, 1)
-        f, f1, f2 = specht_poly(t), specht_poly(t1), specht_poly(t2)
-        assert f == f1 + f2
-        assert f == x(1, 3) - x(2, 3)
+        cls, sign = tableau_to_class(Tableau.from_text("1,3/2"))
+        terms = _three_term(cls, (1, 2), 3)
+        assert sign == 1
+        assert terms == [
+            (1, TwoRowClass(3, ((1, 3),), (2,))),
+            (-1, TwoRowClass(3, ((2, 3),), (1,))),
+        ]
+        assert cls.f() == x(1, 3) - x(2, 3)
+        assert cls.f() == sum((c.f().scale(sg) for sg, c in terms), Polynomial.zero(3))
 
     def test_random_identity(self):
         rng = random.Random(11)
@@ -124,22 +165,31 @@ class TestThreeTermSplit:
             perm = list(range(1, 6))
             rng.shuffle(perm)
             t = Tableau((tuple(perm[:3]), tuple(perm[3:])))
-            t1, t2 = three_term_split(t, rng.randrange(2), 2)
-            assert specht_poly(t) == specht_poly(t1) + specht_poly(t2)
+            cls, sign = tableau_to_class(t)
+            terms = _three_term(cls, cls.pairs[rng.randrange(2)], cls.singletons[0])
+            rec = sum((c.f().scale(sg) for sg, c in terms), Polynomial.zero(5))
+            assert rec == specht_poly(t).scale(sign)
+
+    @pytest.mark.parametrize("nvars,npairs", [(5, 2), (6, 2), (7, 3)])
+    def test_identity_on_every_class(self, nvars, npairs):
+        for cls in all_two_row_classes(nvars, npairs):
+            for i, j in cls.pairs:
+                for s in cls.singletons:
+                    (s1, c1), (s2, c2) = _three_term(cls, (i, j), s)
+                    # first the term that frees j, then the one that frees i
+                    assert j in c1.singletons and i in c2.singletons
+                    rec = c1.f().scale(s1) + c2.f().scale(s2)
+                    assert rec == cls.f()
 
     def test_double_application_recombines(self):
-        t = Tableau.from_text("1,4,5/3,2")
-        t1, t2 = three_term_split(t, 0, 2)
-        t1a, t1b = three_term_split(t1, 0, 2)
-        total = specht_poly(t1a) + specht_poly(t1b) + specht_poly(t2)
-        assert total == specht_poly(t)
-
-    def test_errors(self):
-        t = Tableau.from_text("1,3/2")
-        with pytest.raises(ValueError):
-            three_term_split(t, 1, 0)
-        with pytest.raises(ValueError):
-            three_term_split(Tableau.from_text("1,2/3,4/5,6"), 0, 1)
+        cls, sign = tableau_to_class(Tableau.from_text("1,4,5/3,2"))
+        (s1, t1), (s2, t2) = _three_term(cls, (1, 3), 5)
+        (s1a, t1a), (s1b, t1b) = _three_term(t1, (1, 5), 3)
+        total = (
+            t1a.f().scale(s1 * s1a) + t1b.f().scale(s1 * s1b) + t2.f().scale(s2)
+        )
+        assert total == cls.f()
+        assert total == specht_poly(Tableau.from_text("1,4,5/3,2")).scale(sign)
 
 
 def random_x_member(rng, nvars, npairs, k):
@@ -390,29 +440,29 @@ class TestHStandardIndependence:
 
 
 class TestTwoRowFrame:
-    def test_nesting(self):
-        from spechtideals.specht import TwoRowFrame
+    """The X / Y / Z sets for lambda = (n-d, d) and the prefix x_1..x_k, on
+    the classes of mu = (n-d, d-1) over the letters 1..n-1."""
 
+    def test_nesting(self):
         for n, d, k in ((6, 3, 1), (6, 3, 2), (8, 4, 2)):
-            frame = TwoRowFrame(n, d, k)
-            X, Y, Z = frame.X(), frame.Y(), frame.Z()
-            assert set(Z) <= set(Y) <= set(X)
-            assert all(in_X(c, k) for c in X)
+            classes = all_two_row_classes(n - 1, d - 1)
+            X = [c for c in classes if in_X(c, k)]
+            Y = [c for c in X if in_Y(c, k)]
+            Z = [c for c in X if in_Z(c, k)]
+            assert Z and set(Z) <= set(Y) <= set(X) < set(classes)
             # sigma is the identity exactly on Z
             for c in Y:
                 sigma, _ = sigma_reduce(c, k)
                 assert (not sigma) == in_Z(c, k)
 
-    def test_validation(self):
-        from spechtideals.specht import TwoRowFrame
-
-        with pytest.raises(ValueError):
-            TwoRowFrame(5, 3, 1)  # n < 2d
-        with pytest.raises(ValueError):
-            TwoRowFrame(6, 3, 3)  # k > d-1
-
 
 class TestIndependenceRank:
+    def test_refused_past_the_term_cap(self):
+        # C_n 2^n terms: (7,7) stays under the cap, (8,8) is refused at once
+        assert count_standard_tableaux(Partition((7, 7))) * 2**7 <= _RANK_TERM_CAP
+        with pytest.raises(ResourceLimitError):
+            independence_rank(Partition((8, 8)))
+
     def test_examples(self):
         assert independence_rank(Partition((2, 2))) == 2
         assert independence_rank(Partition((3, 3)), field_of(2)) == 5
