@@ -30,9 +30,11 @@ The ranks of d_1 and d_2 need no elimination: with q_t = dim (S/J)_t in m
 variables, rank d_1 = q_j in internal degree j, since S/J is generated in
 degree 1, and rank d_2 = m q_{j-1} - q_j - mu_j, since H_1 = J/mJ has
 dimension mu_j, the number of minimal generators of J in degree j, which
-``GeneratedIdeal`` counts while it builds J_j.  Only d_3, ..., d_m are
-built, so a reduction that ends in m <= 2 variables builds no Koszul
-matrix; the column cap still covers d_1 and d_2.
+``GeneratedIdeal`` counts while it builds J_j (0, with no J_j built,
+where no generator has degree j).  Only d_3, ..., d_m are built, so a
+reduction that ends in m <= 2 variables builds no Koszul matrix, nor any
+J_j past its top generator degree and the degree at which its Groebner
+basis is certified (``ideals``); the column cap still covers d_1 and d_2.
 When the reduction ends at an Artinian quotient of top degree s in m
 variables, its socle gives Koszul homology in degree m + s, so the table
 is ``closed_off`` only when m + s <= j_max.

@@ -8,7 +8,7 @@ are exact; components are computed lazily per degree, and every kind's
 (``_per_degree``), so a repeat call returns the same GradedBasis.  All
 elimination runs in :mod:`linalg`.
 
-Three structural accelerations, each backed by a standard fact:
+Four structural accelerations, each backed by a standard fact:
 
 * every Specht polynomial is a product of differences x_a - x_b, so a
   polynomial in the x_i - x_n, and x_n is regular on R/I^Sp in every
@@ -34,6 +34,22 @@ Three structural accelerations, each backed by a standard fact:
   the inserted products and need not be inserted.  The argument holds
   over any field and for generators in mixed degrees, and the reduced
   echelon rows, being canonical, are those of all the products.
+* a generated ideal builds no I_d past the degree D at which its
+  Groebner basis is certified complete.  The pivots of I_d are in(I)_d,
+  and those that are no x_i times a pivot of I_{d-1} are the degree-d
+  minimal generators of in(I), the leads; their echelon rows lie in I.
+  Every element of I_e, e <= d, reduces to 0 by the leads of degree <= d,
+  since its leading monomial is a pivot of I_e.  So this truncated basis
+  reduces every S-polynomial whose lcm has degree <= d; a pair of coprime
+  leads needs no reduction (the product criterion), nor does a pair whose
+  lcm some lead divides once that lead's pairs with both are settled (the
+  chain criterion; Gebauer-Moeller 1988, Cox-Little-O'Shea 2.10).  When
+  every pair is settled at a degree D at or past the top generator degree,
+  the generators lie in the span of the truncated basis, which is then a
+  Groebner basis of I (Buchberger's criterion), so the leads generate
+  in(I).  Since HF(S/I) = HF(S/in(I)) (Macaulay), ``quotient_dim`` counts
+  the standard monomials past D.  A degree that adds no lead does not end
+  the basis: (3,3)'s image gains none in degree 5 and one in degree 6.
 
 Collapse ranks of I_{n,k} take one path: ``IntersectionInk.dim`` ranks
 the reduced incidence rows by sparse exact elimination over the ideal's
@@ -54,7 +70,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, le
 
 from .fields import Field, QQ
 from .linalg import (
@@ -159,13 +175,24 @@ class GeneratedIdeal(Ideal):
         self._ech: dict[int, Echelon] = {}
         self._mu: dict[int, int] = {}
         self._qdim: dict[int, int] = {}
+        # the Groebner-basis certificate (module docstring)
+        self._leads: list[tuple] = []  # minimal generators of in(I), by degree
+        self._open: list[tuple] = []  # pairs (i, j, lcm) not yet settled
+        self._settled: list[set[int]] = []  # _settled[i]: leads settled with lead i
+        self._tried = max(self._by_degree, default=0) - 1
+        self._certified: int | None = None
+        self._std: tuple[int, list] | None = None  # (degree, standard monomials)
 
     def generator_list(self):
         return list(self.gens)
 
     def minimal_generators(self, d: int) -> int:
         """mu_d = dim I_d - dim S_1 I_{d-1}, the number of degree-d elements
-        in a minimal generating set, counted while I_d is built."""
+        in a minimal generating set, counted while I_d is built.  It is 0,
+        and I_d is not built, when no generator has degree d: (I/mI)_d is
+        spanned by the degree-d generators."""
+        if d not in self._by_degree:
+            return 0
         self._echelon(d)
         return self._mu[d]
 
@@ -183,11 +210,14 @@ class GeneratedIdeal(Ideal):
         leading monomial below u.  The span, hence the canonical reduced
         rows, is that of all the products.  So the rank the degree-d
         generators add to it is mu_d, which ``minimal_generators`` reads.
+        The pivots that are no x_i times a pivot of I_{d-1} are the
+        degree-d minimal generators of in(I); they join ``_leads``.
         """
         ech = self._ech.get(d)
         if ech is not None:
             return ech
         ech = Echelon(self.field)
+        top: dict[int, int] = {}  # empty when I_{d-1} = 0 and is not built
         if d > 0 and (self._by_degree and min(self._by_degree) < d):
             prev = self._echelon(d - 1)
             n = self.nvars
@@ -210,7 +240,70 @@ class GeneratedIdeal(Ideal):
             ech.insert(poly_to_row(g, d))
         self._mu[d] = ech.rank - products
         self._ech[d] = ech
+        monos = monomials_of_degree(self.nvars, d)
+        self._leads += [monos[u] for u in ech.rows if u not in top]
         return ech
+
+    # -- the Groebner-basis certificate -----------------------------------
+    def _certified_degree(self, d: int) -> int | None:
+        """The degree D <= d at which the leads were certified to generate
+        in(I) (module docstring), or None.  It is tried once per degree from
+        the top generator degree on, at each degree that adds no lead."""
+        while self._certified is None and self._tried < d:
+            e = self._tried = self._tried + 1
+            self._echelon(e)  # builds every lower degree the leads need
+            degrees = [sum(u) for u in self._leads]
+            if e not in degrees and self._settle(e, sum(g < e for g in degrees)):
+                self._certified = e
+        return self._certified
+
+    def _settle(self, d: int, count: int) -> bool:
+        """Whether every pair of the first ``count`` leads (those of degree
+        <= d) is settled: its lcm has degree <= d, the two are coprime, or a
+        lead divides the lcm and its pairs with both are settled.  Settled
+        pairs stay settled; the open ones are kept between calls."""
+        leads, settled = self._leads, self._settled
+        for j in range(len(settled), count):
+            settled.append(set())
+            self._open += [(i, j, tuple(map(max, leads[i], leads[j]))) for i in range(j)]
+        pending, changed = self._open, True
+        while pending and changed:
+            rest, changed = [], False
+            for i, j, lcm in pending:
+                if (
+                    sum(lcm) <= d
+                    or sum(lcm) == sum(leads[i]) + sum(leads[j])  # coprime
+                    or any(all(map(le, leads[k], lcm)) for k in settled[i] & settled[j])
+                ):
+                    settled[i].add(j)
+                    settled[j].add(i)
+                    changed = True
+                else:
+                    rest.append((i, j, lcm))
+            pending = rest
+        self._open = pending
+        return not pending
+
+    def _standard(self, d: int) -> list[tuple]:
+        """The degree-d monomials outside in(I), for d past the certified
+        degree D: those of degree D are the non-pivots of I_D, and past D,
+        where no lead has degree d, a monomial u is standard exactly when
+        every u/x_i is."""
+        if self._std is None or self._std[0] > d:
+            e, pivots = self._certified, self._echelon(self._certified).rows
+            monos = monomials_of_degree(self.nvars, e)
+            self._std = (e, [m for j, m in enumerate(monos) if j not in pivots])
+        e, std = self._std
+        n = self.nvars
+        for e in range(e + 1, d + 1):
+            divisors: dict[tuple, int] = {}
+            for m in std:
+                for i in range(n):
+                    u = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    divisors[u] = divisors.get(u, 0) + 1
+            std = [u for u, c in divisors.items() if c == n - u.count(0)]
+        self._std = (d, std)
+        return std
 
     @_per_degree
     def component(self, d: int) -> GradedBasis:
@@ -222,6 +315,9 @@ class GeneratedIdeal(Ideal):
         return dim_degree(self.nvars, d) - self.quotient_dim(d)
 
     def quotient_dim(self, d: int) -> int:
+        """dim (S/I)_d: through the carried x_n -> 0 image when there is one,
+        else dim S_d - rank I_d up to the certified degree and the count of
+        standard monomials past it (module docstring)."""
         if d < 0:
             return 0
         if d in self._qdim:
@@ -229,8 +325,10 @@ class GeneratedIdeal(Ideal):
         red = self.translation_reduction()
         if red is not None:
             val = sum(red.quotient_dim(e) for e in range(d + 1))
-        else:
+        elif self._certified_degree(d) is None or d <= self._certified:
             val = dim_degree(self.nvars, d) - self._echelon(d).rank
+        else:  # past the certified degree
+            val = len(self._standard(d))
         self._qdim[d] = val
         return val
 

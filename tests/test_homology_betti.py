@@ -738,6 +738,29 @@ class TestDerivedRanks:
         assert table.reduced[1] <= 2
         assert table.entries == GOLDEN_TABLES[(2, 2), p]
 
+    @pytest.mark.parametrize("parts, p", [((2, 2), 2), ((2, 2), 3), ((2, 2, 1), 32003)])
+    def test_two_variables_build_no_echelon_past_the_certificate(self, monkeypatch, parts, p):
+        # mu_j is 0 without J_j where no generator has degree j, and the
+        # Hilbert function is counted past the certified degree, so a table
+        # that ends in two variables builds no echelon above both
+        works = []
+        reduce = betti.regular_reduction
+
+        def spy(ideal, j_max):
+            out = reduce(ideal, j_max)
+            works.append(out[0])
+            return out
+
+        monkeypatch.setattr(betti, "regular_reduction", spy)
+        shape = Partition(parts)
+        table = koszul_betti(specht_ideal(shape, field_of(p)), default_j_max(shape))
+        (work,) = works
+        assert table.reduced[1] == work.nvars <= 2
+        assert table.entries == GOLDEN_TABLES[parts, p]
+        assert work._certified is not None
+        assert max(work._ech) <= max(work._certified, max(work._by_degree))
+        assert max(work._ech) < table.j_max
+
     def test_certified_verdict_builds_no_matrix(self, monkeypatch):
         def no_matrix(*args):
             raise AssertionError("a Koszul matrix was built")

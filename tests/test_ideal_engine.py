@@ -326,11 +326,11 @@ def _assert_matches_all_products(ideal, d_max):
         assert ideal._echelon(d).rows == ref[d].rows, d
 
 
-def _random_ideal(rng, fld):
+def _random_ideal(rng, fld, top_degree=3):
     nvars = rng.randint(2, 4)
     gens = []
     for _ in range(rng.randint(1, 4)):
-        monos = monomials_of_degree(nvars, rng.randint(1, 3))
+        monos = monomials_of_degree(nvars, rng.randint(1, top_degree))
         support = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
         gens.append(Polynomial(nvars, fld, {m: rng.randint(-3, 3) for m in support}))
     return GeneratedIdeal(nvars, fld, [g for g in gens if not g.is_zero()])
@@ -380,6 +380,127 @@ class TestPrunedEchelon:
         monkeypatch.setattr(Echelon, "insert", counting)
         image._echelon(d_max)
         assert dependent < reference / 2, (dependent, reference)
+
+
+def _ranked_quotient_dims(make, top):
+    """dim (S/J)_d = dim S_d - rank J_d for d <= top, from the echelons of a
+    fresh instance: the reference the certified count must match."""
+    ideal = make()
+    return [dim_degree(ideal.nvars, d) - ideal._echelon(d).rank for d in range(top + 1)]
+
+
+def _assert_certified_dims_match(make, top):
+    want = _ranked_quotient_dims(make, top)
+    ideal = make()
+    assert [ideal.quotient_dim(d) for d in range(top + 1)] == want
+    downward = make()  # highest degree first: the count restarts below it
+    assert [downward.quotient_dim(d) for d in range(top, -1, -1)] == want[::-1]
+
+
+def _specht_image(shape, p):
+    return lambda: specht_ideal(shape, field_of(p)).translation_reduction()
+
+
+# the degrees at which the leading monomials of the x_n -> 0 image of
+# I^Sp_lambda are certified to generate its initial ideal, the same over
+# QQ, GF(2) and GF(32003); None: not by degree 8
+_CERTIFIED_DEGREES = {
+    (2, 2): 4, (3, 2): 4, (4, 2): 4, (5, 2): 4,
+    (4, 1, 1): 5,
+    (3, 3): 7, (4, 3): 7, (3, 2, 1): 7, (2, 2, 1): 7,
+    (3, 3, 1): 11,
+    (4, 4): None,
+}
+
+
+class TestCertifiedBasis:
+    """Past the degree where Buchberger's criterion, with the product and
+    chain criteria, certifies the leading monomials of a generated ideal,
+    ``GeneratedIdeal.quotient_dim`` counts standard monomials instead of
+    building I_d; the counts must equal the ranks of the echelons."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [s for n in range(2, 8) for s in enumerate_partitions(n) if not s.is_trivial],
+        ids=Partition.text,
+    )
+    def test_specht_images(self, shape):
+        top = 9 if shape.n <= 6 else 7
+        for p in (0, 2, 3):
+            _assert_certified_dims_match(_specht_image(shape, p), top)
+
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_socle_probe_sums(self, parts, p):
+        shape, fld = Partition(parts), field_of(p)
+        _assert_certified_dims_match(
+            lambda: sum_ideal(specht_ideal(shape, fld), SquarefreeDegreeIdeal(shape.n, 3, fld)), 9
+        )
+
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    def test_random_mixed_degrees(self, p):
+        certified = 0
+        for seed in range(40):
+            make = lambda: _random_ideal(random.Random(1000 * p + seed), field_of(p), 4)
+            _assert_certified_dims_match(make, 12)
+            certified += make()._certified_degree(12) is not None
+        assert certified >= 30  # the count path is exercised
+
+    def test_unit_and_zero_ideal(self):
+        for p in (0, 2):
+            fld = field_of(p)
+            one = Polynomial.monomial(3, (0, 0, 0), 1, fld)
+            _assert_certified_dims_match(lambda: GeneratedIdeal(3, fld, [one]), 6)
+            _assert_certified_dims_match(lambda: GeneratedIdeal(3, fld, []), 6)
+        zero = GeneratedIdeal(3, QQ, [])
+        assert [zero.quotient_dim(d) for d in range(7)] == [dim_degree(3, d) for d in range(7)]
+        assert zero._certified == 0
+
+    @pytest.mark.parametrize("parts", sorted(_CERTIFIED_DEGREES), ids=str)
+    def test_certified_degrees(self, parts):
+        want = _CERTIFIED_DEGREES[parts]
+        for p in (0, 2, 32003):
+            image = _specht_image(Partition(parts), p)()
+            image.quotient_dim(8 if want is None else want + 1)
+            assert image._certified == want, p
+
+    @pytest.mark.parametrize("parts", [(3, 3), (2, 2, 1), (4, 1, 1)], ids=str)
+    def test_higher_echelons_built_first(self, parts):
+        # leads past the degree being certified take no part in its pairs
+        make = _specht_image(Partition(parts), 2)
+        want = _ranked_quotient_dims(make, 10)
+        image = make()
+        image.component(9)
+        assert [image.quotient_dim(d) for d in range(11)] == want
+        assert image._certified == _CERTIFIED_DEGREES[parts]
+
+    def test_no_new_lead_is_not_enough(self):
+        # (3,3): no leading monomial is new in degree 5, yet one is in
+        # degree 6, so the basis is not certified at 5
+        image = _specht_image(Partition((3, 3)), 0)()
+        hilbert_function(image, 6)
+        degrees = {sum(u) for u in image._leads}
+        assert 5 not in degrees and 6 in degrees
+        assert image._tried == 6 and image._certified is None
+        image.quotient_dim(7)
+        assert image._certified == 7
+
+    def test_no_echelon_past_the_certified_degree(self):
+        ideal = specht_ideal(Partition((5, 2)))
+        assert hilbert_function(ideal, 8) == series_expand([1, 5, 1], 2, 8)
+        image = ideal.translation_reduction()
+        assert image._certified == 4
+        assert max(image._ech) == 4
+
+    def test_no_generator_below_degree_three(self):
+        fld = field_of(5)
+        x1, x2, x3 = (x(i, 3, fld) for i in (1, 2, 3))
+        gens = [x1 ** 3 - x2 * x3 ** 2, x2 ** 3 + x1 * x2 * x3, x1 ** 2 * x3 ** 2]
+        make = lambda: GeneratedIdeal(3, fld, gens)
+        _assert_certified_dims_match(make, 12)
+        ideal = make()
+        ideal.quotient_dim(12)
+        assert ideal._certified is not None
 
 
 class TestSpecialize:
