@@ -49,6 +49,13 @@ class TestCommands:
         assert payload["tables"]["hilbert_function"] == [1, 5, 10, 15, 20, 25, 30]
         assert verdict(payload, "matches_two_row_series") is True
 
+    @pytest.mark.parametrize("char", ["0", "2"])
+    def test_hilbert_unit_ideal(self, char):
+        # the trivial shape's Specht polynomial is 1, so S/I = 0 in every degree
+        payload, code = run_json(["hilbert", "--shape", "3", "--max-deg", "5", "--char", char])
+        assert code == 0
+        assert payload["tables"]["hilbert_function"] == [0] * 6
+
     def test_radical_check_true(self):
         payload, code = run_json(
             ["radical-check", "--shape", "3,3", "--max-deg", "7", "--char", "0"]
