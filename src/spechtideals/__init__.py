@@ -3,9 +3,10 @@
 Constructs Specht polynomial generator systems, analyzes the ideals'
 vanishing loci (minimal primes, heights, purity), runs the two-row
 straightening and membership-reduction calculus with verified
-certificates, computes Hilbert functions and bounded-degree radicalness
-checks, and derives Cohen-Macaulay / Gorenstein verdicts from Koszul
-Betti tables.  All arithmetic is exact: rationals or prime fields.
+certificates, computes Hilbert functions and radicalness checks (proved in
+every degree for two-row and (a,a,1) shapes, bounded otherwise), and
+derives Cohen-Macaulay / Gorenstein verdicts from Koszul Betti tables.
+All arithmetic is exact: rationals, prime fields, or GF(p^k).
 """
 
 __version__ = "0.1.0"

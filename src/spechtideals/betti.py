@@ -65,6 +65,12 @@ positive characteristic, an explicit degree bound, or a skipped attempt)
 the Koszul table up to a degree bound is used, and its certificate is
 ``heuristic``: the strands only look closed.
 
+The draw-and-accept loop, ``artinian_draw``, also serves
+``radical_by_length``, which proves I^Sp = I_{n,lambda_1+1} in every
+degree where the minimal primes are the P_F with |F| = lambda_1 + 1: there
+L = e(V) makes R/I CM and reduced (its docstring).  In characteristic p it
+draws over ``fields.draw_field(p)``, GF(p^k) with at least 200 elements.
+
 Characteristic 0 tables are computed over the two large primes of
 ``fields.PROXY_PRIMES``, whose tables must agree (a disagreement raises,
 never resolves silently); an exact-rational run is available behind a flag.
@@ -77,13 +83,13 @@ from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 from math import comb
 
-from .fields import PROXY_PRIMES, Field, QQ, field_of
+from .fields import PROXY_PRIMES, Field, QQ, draw_field, field_of
 from .ideals import GeneratedIdeal, QuotientRing, hilbert_function, specht_ideal
 from .linalg import add_scaled, rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
 from .tableaux import Partition, enumerate_standard_tableaux
-from .varieties import ResourceLimitError, SelfCheckError, height_and_purity
+from .varieties import ResourceLimitError, SelfCheckError, _minimal_profiles, height_and_purity
 
 _COLUMN_CAP = 20_000  # columns of one Koszul matrix
 _DENSE_CELLS = 4_096  # rows x columns past which a GF(p) Artinian Koszul matrix is ranked densely
@@ -236,7 +242,7 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
     # has Koszul matrices with dense rows.  Over GF(p) those past
     # _DENSE_CELLS cells take the dense rank, several times faster there;
     # on smaller ones it saves less than its numpy import costs
-    p = work.field.characteristic
+    p = work.field.modulus  # the row kernels below compute in prime fields
     dense = p > 0 and qdim[-1] == 0
 
     def chain_dim(i: int, j: int) -> int:
@@ -318,18 +324,23 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
 
 @dataclass(frozen=True)
 class Certificate:
-    """How a CM verdict was established, as the report shows it.
+    """How a verdict was established, as the report shows it.
 
-    ``artinian-length``: the Artinian reduction proved CM and the table is
-    complete.  ``heuristic``: the table is a Koszul table up to ``j_max``
-    whose strands look closed; ``length`` and ``multiplicity`` then record
-    an Artinian attempt that did not certify, if one ran.
+    For ``cm-check``: ``artinian-length``, the Artinian reduction proved CM
+    and the table is complete; ``heuristic``, the table is a Koszul table up
+    to ``j_max`` whose strands look closed, and ``length`` and
+    ``multiplicity`` then record an Artinian attempt that did not certify,
+    if one ran.  For ``radical-check``: ``artinian-length``, the equality
+    holds in every degree (``radical_by_length``, ``j_max`` None);
+    ``bounded-degree``, the components agree up to ``j_max``;
+    ``separating-polynomial``, a polynomial of degree <= ``j_max`` lies in
+    one ideal and not the other.
     """
 
     kind: str
-    provenance: str  # the module.function that produced the table
+    provenance: str  # the module.function that produced the verdict
     fields: tuple[str, ...]
-    j_max: int
+    j_max: int | None  # the degree bound; None when the proof has none
     length: int | None = None  # L of the Artinian quotient over the first field
     multiplicity: int | None = None  # e(V); None when no forms were needed
     h_vector: tuple[int, ...] | None = None
@@ -377,6 +388,42 @@ def artinian_ideal(shape: Partition, images: list[list[int]], fld: Field) -> Gen
     return GeneratedIdeal(k, fld, gens)
 
 
+def _artinian_top(shape: Partition) -> int:
+    """The degree past which an Artinian image of I^Sp vanishes: an Artinian
+    ideal generated in degree D in lambda_1 variables contains, over an
+    infinite extension field, a regular sequence of lambda_1 degree-D forms,
+    so its quotient vanishes past lambda_1 (D - 1), and the forms are a
+    system of parameters exactly when the Hilbert function is 0 one degree
+    later."""
+    return shape.parts[0] * (specht_poly_degree(shape) - 1)
+
+
+def artinian_draw(
+    shape: Partition, fld: Field, trace: list[str]
+) -> tuple[list[list[int]], GeneratedIdeal, list[int]] | None:
+    """The first of ``_SOP_DRAWS`` seeded draws of n - 1 - lambda_1 linear
+    forms in the first lambda_1 variables, coefficients drawn from all of
+    ``fld``, that is a system of parameters over ``fld`` (module
+    docstring): (the images of x_1 .. x_n, the image ideal over ``fld``,
+    the Hilbert function of its quotient up to its first zero), or None.
+    ``artinian_reduction`` and ``radical_by_length`` both draw here."""
+    n, lam1 = shape.n, shape.parts[0]
+    units = [[int(i == a) for i in range(lam1)] for a in range(lam1)]
+    top = _artinian_top(shape)
+    rng = random.Random(0)  # a fixed draw keeps the report reproducible
+    for _ in range(_SOP_DRAWS):
+        forms = [[rng.randrange(fld.order) for _ in range(lam1)] for _ in range(n - 1 - lam1)]
+        # x_n -> 0 is the translation step: x_n is regular on R/I over every
+        # field, as ``ideals.SpechtIdeal`` states
+        images = units + forms + [[0] * lam1]
+        art = artinian_ideal(shape, images, fld)
+        h = hilbert_function(art, top + 1)
+        if not h[-1]:
+            return images, art, h[: h.index(0)]
+        trace.append("drawn forms are not a system of parameters")
+    return None
+
+
 def artinian_reduction(
     shape: Partition, fields: list[Field], trace: list[str] | None = None
 ) -> tuple[list[BettiTable] | None, dict]:
@@ -386,21 +433,15 @@ def artinian_reduction(
     forms were needed), else None; and the values measured over the first
     field (length, multiplicity, h_vector) for the certificate.  e(V)
     comes from ``varieties.height_and_purity``, which lists nothing, so the
-    column-cap gate fires before any Hilbert function is computed.  A draw
-    is accepted when the Hilbert function of its quotient over the first
-    field reaches 0 by degree top + 1, and that field settles L = e(V)
-    before any other field is tried, so a shape that is not CM costs one
-    Hilbert function per draw.
+    column-cap gate fires before any Hilbert function is computed.  The
+    forms are drawn over the first field (``artinian_draw``), as integers
+    below its order, and that field settles L = e(V) before any other field
+    is tried, so a shape that is not CM costs one Hilbert function per draw.
     """
     trace = [] if trace is None else trace
     n, lam1 = shape.n, shape.parts[0]
-    # x_n -> 0 is the translation step: x_n is regular on R/I over every
-    # field, as ``ideals.SpechtIdeal`` states
-    d = n - 1 - lam1
-    units = [[int(i == a) for i in range(lam1)] for a in range(lam1)]
-    origin = [[0] * lam1]
     measured: dict = {}
-    if d:
+    if n - 1 - lam1:
         measured["multiplicity"] = e_v = height_and_purity(shape).top_primes
         if e_v << lam1 > _COLUMN_CAP:
             # a certified quotient has length e(V), so its Koszul complex
@@ -413,25 +454,14 @@ def artinian_reduction(
                 f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
             )
             return None, measured
-    # an Artinian ideal generated in degree D in lam1 variables contains,
-    # over an infinite extension field, a regular sequence of lam1 degree-D
-    # forms, so its quotient vanishes past top = lam1 (D - 1): the forms are
-    # a system of parameters exactly when the Hilbert function is 0 in
-    # degree top + 1
-    top = lam1 * (specht_poly_degree(shape) - 1)
-    rng = random.Random(0)  # a fixed draw keeps the report reproducible
-    for _ in range(_SOP_DRAWS):
-        forms = [[rng.randrange(PROXY_PRIMES[0]) for _ in range(lam1)] for _ in range(d)]
-        images = units + forms + origin
-        # a GF(p) dimension bounds the rational one from above: integer
-        # forms that pass here are a system of parameters in characteristic 0
-        art = artinian_ideal(shape, images, fields[0])
-        h = hilbert_function(art, top + 1)
-        if not h[-1]:
-            break
-        trace.append("drawn forms are not a system of parameters")
-    else:
+    # a GF(p) dimension bounds the rational one from above: integer forms
+    # that pass over the first field are a system of parameters in
+    # characteristic 0
+    drawn = artinian_draw(shape, fields[0], trace)
+    if drawn is None:
         return None, measured
+    images, art, h = drawn
+    top = _artinian_top(shape)
     quotients = []
     for fld in fields:
         if quotients:  # the first field's quotient is the accepted draw's
@@ -440,8 +470,8 @@ def artinian_reduction(
             if h[-1]:
                 trace.append(f"drawn forms are not a system of parameters over {fld}")
                 return None, measured
-        h = h[: h.index(0)]
-        if not quotients:
+            h = h[: h.index(0)]
+        else:
             measured.update(length=sum(h), h_vector=tuple(h))
         e_v = measured.get("multiplicity")
         if e_v is not None and sum(h) != e_v:
@@ -455,6 +485,63 @@ def artinian_reduction(
     # every entry sits at j <= socle degree + lam1, below len(h) + lam1
     tables = [replace(koszul_betti(art, top_j + lam1), n=n) for art, top_j in quotients]
     return tables, measured
+
+
+def radical_by_length(
+    shape: Partition, characteristic: int, trace: list[str] | None = None
+) -> Certificate | None:
+    """A proof that I^Sp = I_{n,lambda_1+1} in every degree, or None.
+
+    It applies when the minimal primes of I^Sp are exactly the P_F with
+    |F| = lambda_1 + 1, that is when ``varieties._minimal_profiles`` yields
+    the single profile (lambda_1 + 1, 1^(n - lambda_1 - 1)): every two-row
+    and (a,a,1) shape, and (1^n), but also shapes such as (2,2,2), which
+    are not CM, so that their length exceeds e(V).  Then
+    e(V) = C(n, lambda_1 + 1).  Linear forms are drawn as
+    ``artinian_reduction`` draws them (``artinian_draw``), over
+    ``fields.draw_field``: in characteristic 0 as integers, over
+    GF(``PROXY_PRIMES[0]``); in characteristic p over GF(p^k) with at least
+    200 elements, since a small prime field may have no system of
+    parameters at all.  Suppose the quotient is Artinian of length
+    L = e(V).
+    - L >= e(R/I) >= e(V), so equality makes R/I Cohen-Macaulay (Serre's
+      criterion, Bruns-Herzog 4.7) and reduced at every top prime.
+    - A CM ring is unmixed and V is pure, so R/I is reduced and
+      I^Sp = the intersection of the P_F = I_{n,lambda_1+1}
+      (``SpechtIdeal.lies_in`` gives one inclusion in closed form).
+    - The forms are then a regular sequence, so HF(R/I) is
+      h(t) / (1 - t)^(n - lambda_1), h the Artinian Hilbert function.
+    - Over GF(p^k) all of this descends to GF(p): base change keeps the
+      dimension of every graded piece.  In characteristic 0 each GF(p)
+      dimension bounds the rational one from above (the module
+      docstring), so the rational quotient is Artinian too, of a length
+      between e(V) and L, that is L, and its Hilbert function is h.
+    L < e(V) is impossible and raises a SelfCheckError.
+    """
+    trace = [] if trace is None else trace
+    n, lam1 = shape.n, shape.parts[0]
+    if list(_minimal_profiles(shape)) != [(lam1 + 1,) + (1,) * (n - lam1 - 1)]:
+        trace.append("the minimal primes are not exactly the P_F with |F| = lambda_1 + 1")
+        return None
+    fld = draw_field(characteristic)
+    drawn = artinian_draw(shape, fld, trace)
+    if drawn is None:
+        return None
+    h, e_v = drawn[2], comb(n, lam1 + 1)
+    if sum(h) != e_v:
+        if sum(h) < e_v:
+            raise SelfCheckError(f"length {sum(h)} below e(V) = {e_v} for {shape} over {fld}")
+        trace.append(f"length {sum(h)} over {fld} exceeds e(V) = {e_v}")
+        return None
+    return Certificate(
+        "artinian-length",
+        f"betti.radical_by_length({shape}, char={characteristic})",
+        (repr(fld),),
+        None,
+        length=sum(h),
+        multiplicity=e_v,
+        h_vector=tuple(h),
+    )
 
 
 def default_j_max(shape: Partition) -> int:

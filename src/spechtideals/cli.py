@@ -23,7 +23,7 @@ from math import comb
 
 from . import __version__
 from .fields import PROXY_PRIMES, field_of
-from .betti import cm_verdict, koszul_betti, resolve_j_max
+from .betti import Certificate, cm_verdict, koszul_betti, radical_by_length, resolve_j_max
 from .ideals import (
     IntersectionInk,
     SquarefreeDegreeIdeal,
@@ -36,7 +36,7 @@ from .ideals import (
     specht_ideal,
     sum_ideal,
 )
-from .poly import Polynomial
+from .poly import Polynomial, dim_degree
 from .specht import (
     independence_rank,
     specht_poly,
@@ -258,7 +258,19 @@ def _cmd_radical_check(args, report: Report) -> int:
         raise ValueError("the trivial shape is excluded")
     fld = field_of(args.char)
     d_bound = args.max_deg if args.max_deg is not None else shape.parts[0] + 4
+    if d_bound < 0:
+        raise ValueError(f"--max-deg must be nonnegative, got {d_bound}")
     n, k = shape.n, shape.parts[0] + 1
+    cert = radical_by_length(shape, args.char)
+    if cert is not None:
+        # both ideals have Hilbert series h(t) / (1 - t)^(n - lambda_1)
+        series = series_expand(cert.h_vector, n - k + 1, d_bound)
+        dims = [dim_degree(n, d) - v for d, v in enumerate(series)]
+        report.tables["component_dimensions"] = {"specht": dims, "intersection": dims}
+        report.add("equal_up_to_degree", True, cert.provenance)
+        report.add("equal_in_every_degree", True, cert.provenance)
+        report.tables["certificate"] = cert.to_jsonable()
+        return 0
     ideal = specht_ideal(shape, fld)
     ink = IntersectionInk(n, k, fld)
     rep = equal_up_to_degree(ideal, ink, d_bound)
@@ -274,6 +286,9 @@ def _cmd_radical_check(args, report: Report) -> int:
     if not rep.equal:
         report.add("first_disagreeing_degree", rep.first_disagreement, provenance)
         report.add("separating_polynomial", str(rep.separating), provenance)
+        report.add("equal_in_every_degree", False, provenance)
+    kind = "bounded-degree" if rep.equal else "separating-polynomial"
+    report.tables["certificate"] = Certificate(kind, provenance, (repr(fld),), d_bound).to_jsonable()
     return 0 if rep.equal else 1
 
 

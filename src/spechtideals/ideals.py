@@ -504,9 +504,12 @@ class IntersectionInk(Ideal):
     # -- membership -------------------------------------------------------
     def contains(self, p: Polynomial) -> bool:
         """p lies in every P_F exactly when its coefficients sum to zero on
-        each collapse fiber of each k-subset F."""
+        each collapse fiber of each k-subset F.  The sums are taken as
+        integers, so GF(p^k) is refused."""
         p.homogeneous_degree()  # the fibers below are those of one degree
         fld = self.field
+        if fld.degree > 1:
+            raise ValueError(f"{fld} is not a prime field: fiber sums are integer sums")
         terms = [(fld.of(c), m) for m, c in p.terms.items()]
         return all(
             fld.of(sum(group)) == 0
@@ -858,7 +861,7 @@ def mult_injective(form: Polynomial, ideal: Ideal, d: int) -> MultMapReport:
     for t in range(len(src)):
         row: dict = {}
         for i, c in coeffs.items():
-            add_scaled(row, c, q.mult_map(i, d)[t], fld.characteristic)
+            add_scaled(row, c, q.mult_map(i, d)[t], fld.modulus)
         rows.append(row)
     rank = rank_sparse(rows, fld)
     dim_src = len(src)

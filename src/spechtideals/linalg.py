@@ -3,15 +3,19 @@
 This is the package's one linear-algebra core: the exact eliminations of
 ``ideals`` and ``betti`` all run on :class:`Echelon`, and every sparse-row
 update, elimination in :class:`Echelon` included, goes through
-:func:`add_scaled`.
+:func:`add_scaled`, or through :func:`add_scaled_table` over GF(p^k).
 
 Rows are sparse ``{column: coefficient}`` dicts.  Over GF(p) the engine
 does ordinary monic elimination; over the rationals it is fraction-free
 (Bareiss-style cross-multiplication with content stripping), so all
-intermediate entries are integers.  Reduced form is maintained
-incrementally, which keeps stored rows supported on their pivot plus the
-current non-pivot columns only.  Normal forms modulo a reduced basis go
-through :meth:`Echelon.reduce_exact`.  Ranks come from
+intermediate entries are integers.  Over GF(p^k), k > 1, it is monic
+elimination on the field's log tables; an Echelon picks that kernel once,
+when it is built.  The kernels that take an int modulus, ``add_scaled``
+and ``rank_dense_mod_p``, compute in prime fields only, and their callers
+read the modulus from ``Field.modulus``, which GF(p^k) refuses.  Reduced
+form is maintained incrementally, which keeps stored rows supported on
+their pivot plus the current non-pivot columns only.  Normal forms modulo
+a reduced basis go through :meth:`Echelon.reduce_exact`.  Ranks come from
 :func:`rank_sparse` over any field, or from the vectorized
 :func:`rank_dense_mod_p` over GF(p), which imports numpy on its first call,
 not with the package, and pays for that only on large matrices.
@@ -22,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import Field, QQ
+from .fields import ExtensionField, Field, QQ
 from .poly import Polynomial, monomials_of_degree, poly_to_row
 
 
@@ -40,6 +44,34 @@ def add_scaled(row: dict, c, src: dict, p: int, offset: int = 0) -> None:
             row[k] = nv
         else:
             row.pop(k, None)
+
+
+def add_scaled_table(row: dict, c: int, src: dict, fld: ExtensionField) -> None:
+    """In place ``row += c * src`` over GF(p^k), on the field's log tables;
+    c is nonzero.  Entries that cancel are dropped."""
+    exp, log = fld.exp, fld.log
+    lc = log[c]
+    if fld.characteristic == 2:
+        for k, v in src.items():
+            nv = row.get(k, 0) ^ exp[lc + log[v]]
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+        return
+    zech, n = fld.zech, fld.order - 1
+    for k, v in src.items():
+        lt = lc + log[v]  # the term c v = x^lt
+        a = row.get(k)
+        if a is None:
+            row[k] = exp[lt]
+            continue
+        la = log[a]
+        z = zech[(lt - la) % n]  # a + x^lt = x^la (1 + x^(lt - la))
+        if z < 0:
+            del row[k]
+        else:
+            row[k] = exp[la + z]
 
 
 def _strip_content(row: dict) -> None:
@@ -69,6 +101,9 @@ class Echelon:
         self.rows: dict[int, dict] = {}
         self.touch: dict[int, set] = {}
         self.kernel_rows: list[dict] = []
+        if field.degree > 1:  # GF(p^k): the log-table kernel
+            self._eliminate = self._eliminate_table
+            self._normalize = self._normalize_table
 
     @classmethod
     def of_reduced(cls, field: Field, rows: dict[int, dict]) -> "Echelon":
@@ -110,6 +145,18 @@ class Echelon:
             if inv != 1:
                 for k in row:
                     row[k] = row[k] * inv % p
+
+    def _eliminate_table(self, row: dict, c: int) -> None:
+        """``_eliminate`` over GF(p^k), where stored pivots are 1."""
+        fld = self.field
+        add_scaled_table(row, fld.neg(row[c]), self.rows[c], fld)
+
+    def _normalize_table(self, row: dict, pivot: int) -> None:
+        fld = self.field
+        inv = fld.inv(row[pivot])
+        if inv != 1:
+            for k in row:
+                row[k] = fld.mul(row[k], inv)
 
     def _prepare(self, row: dict) -> dict:
         """Copy a row, coercing coefficients (integers over QQ)."""
@@ -344,7 +391,7 @@ def intersect_spans(bases: list[GradedBasis]) -> GradedBasis:
             vec: dict = {}
             for i, c in combo.items():
                 if i < r:
-                    add_scaled(vec, c, vrows[i], ech.p)
+                    add_scaled(vec, c, vrows[i], first.field.modulus)
             if vec:
                 ech.insert(vec)
         current = GradedBasis.from_echelon(ech, first.nvars, first.degree)

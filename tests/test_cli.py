@@ -169,11 +169,12 @@ class TestCommands:
         assert payload["tables"]["intersection_dims"][:4] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize(
-        "argv", [["catalan", "--n", "3"], ["radical-check", "--shape", "3,3", "--max-deg", "6"]]
+        "argv", [["catalan", "--n", "3"], ["radical-check", "--shape", "3,2,1", "--max-deg", "4"]]
     )
     def test_char0_collapse_ranks_are_over_qq(self, monkeypatch, argv):
         # over the rationals every collapse rank of I_{n,k} is the exact
-        # rational one: no prime field stands in for it
+        # rational one: no prime field stands in for it.  (3,2,1) is not
+        # radical, so radical-check takes the bounded path and ranks
         from spechtideals import ideals
         from spechtideals.fields import QQ
 
@@ -186,9 +187,24 @@ class TestCommands:
             return orig(rows, fld)
 
         monkeypatch.setattr(ideals, "rank_sparse", spy)
-        payload, _ = run_json(argv)
-        assert code == 0 and payload == expected
+        payload, again = run_json(argv)
+        assert code == again == {"catalan": 0, "radical-check": 1}[argv[0]]
+        assert payload == expected
         assert seen and set(seen) == {QQ}
+
+    def test_certified_radical_check_ranks_nothing(self, monkeypatch):
+        # the Artinian-length certificate builds neither I^Sp nor I_{n,k}:
+        # no collapse rank and no bounded comparison
+        from spechtideals import ideals
+
+        calls = []
+        for mod, name in [(ideals, "rank_sparse"), (linalg, "rank_sparse"), (cli, "equal_up_to_degree"),
+                          (cli, "specht_ideal"), (cli, "IntersectionInk")]:
+            monkeypatch.setattr(mod, name, lambda *a, _name=name, **k: calls.append(_name))
+        payload, code = run_json(["radical-check", "--shape", "3,3", "--max-deg", "6"])
+        assert code == 0 and calls == []
+        assert payload["tables"]["certificate"]["kind"] == "artinian-length"
+        assert verdict(payload, "equal_in_every_degree") is True
 
     def test_straighten(self):
         payload, code = run_json(

@@ -10,6 +10,12 @@ seeded ``condition-star`` and ``straighten`` queries.  A change to the
 collapse ranks, the degree-by-degree echelon, the minimal primes or the
 two-row straightening that alters one of these reports fails here before
 the benchmark sees it.
+
+The ``radical-check`` content the digests pinned before the Artinian-length
+certificate (``betti.radical_by_length``) replaced most bounded comparisons
+is pinned on its own below: every workload's ``radical-check`` query keeps
+its component dimensions, its ``equal_up_to_degree`` value and its exit
+code.
 """
 
 import hashlib
@@ -23,8 +29,8 @@ from spechtideals import cli
 
 # sha256 of the rendered reports and exit codes the queries give
 _DIGESTS = {
-    "radical-grid": "cbcaaa17c74c47b79773c997a30c1e2e619680b7e266b94c34696fe8279b55b3",
-    "loci-replay": "869943e8cfc7d98738b2f9f5402c8579fd62fd3c1004fc81c3f7811c9dd9b2eb",
+    "radical-grid": "a3416bab9110041226713172dfe67b80fe7f079542b9be1e9eccd2ee7c86f6ba",
+    "loci-replay": "22d58f5be32845f897f76bb098821193e3513b57f0732f878991da2959baf10c",
 }
 
 
@@ -37,6 +43,46 @@ def report_digest(workload: str, seed: int = 201) -> str:
         report, code = cli.run(list(argv))
         out.append([list(argv), code, report.render(report.config.output_format)])
     return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+# (shape, --max-deg) -> the component dimensions of I^Sp and I_{n,k} when
+# they agree up to --max-deg (exit 0), the same in characteristics 0, 2, 3
+_RADICAL = {
+    ("2,2", 4): [0, 0, 2, 8, 19],
+    ("2,2", 6): [0, 0, 2, 8, 19, 36, 60],
+    ("2,2,1", 6): [0, 0, 0, 0, 5, 21, 55],
+    ("3,2", 6): [0, 0, 5, 20, 50, 101, 180],
+    ("3,3", 7): [0, 0, 0, 5, 30, 96, 231, 471],
+    ("3,3,1", 6): [0, 0, 0, 0, 0, 21, 112],
+    ("4,2", 6): [0, 0, 9, 38, 102, 222, 426],
+    ("4,3", 6): [0, 0, 0, 14, 77, 245, 602],
+    ("4,4", 5): [0, 0, 0, 0, 14, 112],
+    ("5,2", 7): [0, 0, 14, 63, 182, 427, 882, 1667],
+}
+# ... and both columns, up to the first disagreeing degree, when they do not
+# (exit 1)
+_NOT_RADICAL = {("3,2,1", 7): ([0, 0, 0, 0], [0, 0, 0, 5])}
+
+
+def test_radical_check_content_unchanged():
+    wls = perfbench_module("workloads").WORKLOADS.values()
+    argvs = sorted({
+        tuple(q["argv"]) for wl in wls for q in wl.once + wl.fixed
+        if q["kind"] == "cli" and q["argv"][0] == "radical-check"
+    })
+    assert len(argvs) == 25
+    for argv in argvs:
+        key = (argv[2], int(argv[4]))
+        equal = key in _RADICAL
+        specht, intersection = (_RADICAL[key], _RADICAL[key]) if equal else _NOT_RADICAL[key]
+        report, code = cli.run(list(argv))
+        payload = report.to_jsonable()
+        verdicts = {v["name"]: v["value"] for v in payload["verdicts"]}
+        assert payload["tables"]["component_dimensions"] == {
+            "specht": specht,
+            "intersection": intersection,
+        }, argv
+        assert (verdicts["equal_up_to_degree"], code) == (equal, 0 if equal else 1), argv
 
 
 @pytest.mark.parametrize("workload", sorted(_DIGESTS))
