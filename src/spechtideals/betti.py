@@ -192,7 +192,9 @@ def regular_reduction(ideal: GeneratedIdeal, j_max: int) -> tuple[GeneratedIdeal
     l is accepted exactly when the quotient by l has, in every degree
     t <= j_max, the first difference of the previous Hilbert function as
     its dimension; candidates are the all-ones form, then seeded draws
-    with nonzero coefficients, at most ``_SOP_DRAWS`` per step.
+    with nonzero coefficients, at most ``_SOP_DRAWS`` per step.  A draw
+    already tried in the step is skipped: over GF(2) every draw is the
+    all-ones form again.
     """
     qdim = hilbert_function(ideal, j_max)
     p = ideal.field.characteristic
@@ -203,8 +205,12 @@ def regular_reduction(ideal: GeneratedIdeal, j_max: int) -> tuple[GeneratedIdeal
         want = [qdim[0]] + [qdim[t] - qdim[t - 1] for t in range(1, j_max + 1)]
         if min(want) < 0:  # no form is injective where the function falls
             break
+        tried = []
         for draw in range(_SOP_DRAWS):
             coeffs = [1 if draw == 0 else rng.randrange(1, top) for _ in range(ideal.nvars - 1)]
+            if coeffs in tried:
+                continue
+            tried.append(coeffs)
             image = _divide_by_form(ideal, coeffs)
             if all(image.quotient_dim(t) == want[t] for t in range(j_max + 1)):
                 ideal, qdim = image, want
@@ -424,6 +430,16 @@ def artinian_draw(
     return None
 
 
+def _length_is_e_v(shape: Partition, h: list[int], e_v: int, fld: Field, trace: list[str]) -> bool:
+    """Whether the length L = sum(h) equals e(V).  L >= e(R/I) >= e(V)
+    always, so a smaller L raises a SelfCheckError; a larger one is traced."""
+    if sum(h) < e_v:
+        raise SelfCheckError(f"length {sum(h)} below e(V) = {e_v} for {shape} over {fld}")
+    if sum(h) > e_v:
+        trace.append(f"length {sum(h)} over {fld} exceeds e(V) = {e_v}")
+    return sum(h) == e_v
+
+
 def artinian_reduction(
     shape: Partition, fields: list[Field], trace: list[str] | None = None
 ) -> tuple[list[BettiTable] | None, dict]:
@@ -474,12 +490,7 @@ def artinian_reduction(
         else:
             measured.update(length=sum(h), h_vector=tuple(h))
         e_v = measured.get("multiplicity")
-        if e_v is not None and sum(h) != e_v:
-            if sum(h) < e_v:  # L >= e(R/I) >= e(V) always
-                raise SelfCheckError(
-                    f"length {sum(h)} below e(V) = {e_v} for {shape} over {fld}"
-                )
-            trace.append(f"length {sum(h)} over {fld} exceeds e(V) = {e_v}")
+        if e_v is not None and not _length_is_e_v(shape, h, e_v, fld, trace):
             return None, measured
         quotients.append((art, len(h)))
     # every entry sits at j <= socle degree + lam1, below len(h) + lam1
@@ -507,8 +518,9 @@ def radical_by_length(
     - L >= e(R/I) >= e(V), so equality makes R/I Cohen-Macaulay (Serre's
       criterion, Bruns-Herzog 4.7) and reduced at every top prime.
     - A CM ring is unmixed and V is pure, so R/I is reduced and
-      I^Sp = the intersection of the P_F = I_{n,lambda_1+1}
-      (``SpechtIdeal.lies_in`` gives one inclusion in closed form).
+      I^Sp = the intersection of the P_F = I_{n,lambda_1+1}.  (One
+      inclusion holds for every shape by pigeonhole, as
+      ``ideals.equal_up_to_degree`` states.)
     - The forms are then a regular sequence, so HF(R/I) is
       h(t) / (1 - t)^(n - lambda_1), h the Artinian Hilbert function.
     - Over GF(p^k) all of this descends to GF(p): base change keeps the
@@ -528,10 +540,7 @@ def radical_by_length(
     if drawn is None:
         return None
     h, e_v = drawn[2], comb(n, lam1 + 1)
-    if sum(h) != e_v:
-        if sum(h) < e_v:
-            raise SelfCheckError(f"length {sum(h)} below e(V) = {e_v} for {shape} over {fld}")
-        trace.append(f"length {sum(h)} over {fld} exceeds e(V) = {e_v}")
+    if not _length_is_e_v(shape, h, e_v, fld, trace):
         return None
     return Certificate(
         "artinian-length",

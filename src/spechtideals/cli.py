@@ -271,9 +271,7 @@ def _cmd_radical_check(args, report: Report) -> int:
         report.add("equal_in_every_degree", True, cert.provenance)
         report.tables["certificate"] = cert.to_jsonable()
         return 0
-    ideal = specht_ideal(shape, fld)
-    ink = IntersectionInk(n, k, fld)
-    rep = equal_up_to_degree(ideal, ink, d_bound)
+    rep = equal_up_to_degree(shape, fld, d_bound)
     report.tables["component_dimensions"] = {
         "specht": rep.dims_left,
         "intersection": rep.dims_right,

@@ -59,9 +59,10 @@ they agree outside F (the exponent sum on F is then d minus the rest), so
 k-subset in one pass, and the reduced rank passes it only the monomials
 that no coordinate ideal pins.  The full n-variable incidence,
 ``IntersectionInk._incidence``, serves only ``component``, whose null
-space separating polynomials and normal forms need; ``contains`` sums
-coefficients over the same groups, and no command calls it
-(``SpechtIdeal.lies_in`` settles I^Sp in I_{n,k} in closed form).
+space the separating polynomial needs; ``contains`` sums coefficients
+over the same groups and serves only as a test oracle
+(``equal_up_to_degree`` needs no membership test: I^Sp lies in
+I_{n,lambda_1+1} by pigeonhole).
 """
 
 from __future__ import annotations
@@ -332,12 +333,6 @@ class GeneratedIdeal(Ideal):
         self._qdim[d] = val
         return val
 
-    def contains(self, p: Polynomial) -> bool:
-        if p.is_zero():
-            return True
-        d = p.homogeneous_degree()
-        return self._echelon(d).contains(poly_to_row(p.map_field(self.field), d))
-
 
 def specialize_xn(ideal: GeneratedIdeal) -> GeneratedIdeal:
     """Image of a generated ideal under the surjection x_n -> 0.
@@ -375,20 +370,6 @@ class SpechtIdeal(GeneratedIdeal):
         if self._image is None and self.nvars > 1:  # no ring in zero variables
             self._image = specialize_xn(self)
         return self._image
-
-    def lies_in(self, other: Ideal) -> bool:
-        """Whether I^Sp lies in ``other`` by a closed form, with no
-        membership test: I_{n,k} for k > lambda_1 contains every generator,
-        since two of any k letters share one of the lambda_1 columns of
-        its tableau (pigeonhole), and the generator has their difference
-        x_a - x_b, an element of P_F, as a factor.  False means unknown.
-        ``equal_up_to_degree`` uses it in place of the generator membership
-        tests."""
-        return (
-            isinstance(other, IntersectionInk)
-            and (other.nvars, other.field) == (self.nvars, self.field)
-            and other.k > self.shape.parts[0]
-        )
 
 
 def specht_ideal(shape: Partition, fld: Field = QQ) -> SpechtIdeal:
@@ -675,71 +656,44 @@ def series_expand(numerator: list[int], denom_power: int, d_max: int) -> list[in
 
 @dataclass
 class EqualityReport:
-    """Outcome of a bounded-degree component comparison of two ideals."""
+    """Outcome of comparing I^Sp with I_{n,lambda_1+1} up to a degree."""
 
     equal: bool
-    checked_degree: int
     first_disagreement: int | None
     separating: Polynomial | None
     dims_left: list[int]
     dims_right: list[int]
 
 
-def _gen_inclusion_degree(src: Ideal, dst: Ideal, limit: int) -> float:
-    """First degree at which a generator of src fails membership in dst."""
-    if isinstance(src, SpechtIdeal) and src.lies_in(dst):
-        return float("inf")
-    gl = src.generator_list()
-    if gl is None:
-        return -1.0  # unknown: no certificate available
-    bad = float("inf")
-    for g in gl:
-        d = g.homogeneous_degree()
-        if d is None or d > limit:
-            continue
-        if not dst.contains(g):
-            bad = min(bad, d)
-    return bad
+def equal_up_to_degree(shape: Partition, fld: Field, d_bound: int) -> EqualityReport:
+    """Whether I^Sp and I_{n,k}, k = lambda_1 + 1, agree in every degree
+    <= d_bound over ``fld``.
 
-
-def equal_up_to_degree(left: Ideal, right: Ideal, d_bound: int) -> EqualityReport:
-    """Componentwise equality for all degrees <= d_bound.
-
-    Strategy per degree: compare dimensions; with dimension equality and a
-    generator-certified inclusion, components agree.  Without an inclusion
-    certificate the reduced bases are compared directly.  On disagreement a
-    separating polynomial (in one ideal, not the other) is produced.
+    I^Sp lies in I_{n,k}: two of any k letters share one of the lambda_1
+    columns of a tableau (pigeonhole), so every generator has their
+    difference x_a - x_b, an element of P_F, as a factor.  The components
+    therefore agree exactly where their dimensions do.  At the first degree
+    where they differ, a basis vector of I_{n,k} outside I^Sp separates
+    them; a Specht side larger than I_{n,k} contradicts the inclusion and
+    raises a SelfCheckError there.
     """
     if d_bound < 0:
         raise ValueError("d_bound must be nonnegative")
-    if (left.nvars, left.field) != (right.nvars, right.field):
-        raise ValueError("ideals live in different rings")
-    incl = _gen_inclusion_degree(left, right, d_bound)
-    if incl < 0:  # no certificate that left lies in right: try right in left
-        incl = _gen_inclusion_degree(right, left, d_bound)
+    specht = specht_ideal(shape, fld)
+    ink = IntersectionInk(shape.n, shape.parts[0] + 1, fld)
     dims_l: list[int] = []
     dims_r: list[int] = []
     for d in range(d_bound + 1):
-        a = left.dim(d)
-        b = right.dim(d)
-        dims_l.append(a)
-        dims_r.append(b)
-        if a == b:
-            if incl > d:
-                continue  # inclusion + equal dimension => equal components
-            if left.component(d) == right.component(d):
-                continue
-            sep = _separating_vector(left, right, d)
-            return EqualityReport(False, d_bound, d, sep, dims_l, dims_r)
-        bigger, smaller = (right, left) if b > a else (left, right)
-        sep = _separating_vector(bigger, smaller, d)
-        return EqualityReport(False, d_bound, d, sep, dims_l, dims_r)
-    return EqualityReport(True, d_bound, None, None, dims_l, dims_r)
+        dims_l.append(specht.dim(d))
+        dims_r.append(ink.dim(d))
+        if dims_l[-1] != dims_r[-1]:
+            return EqualityReport(False, d, _separating_vector(ink, specht, d), dims_l, dims_r)
+    return EqualityReport(True, None, None, dims_l, dims_r)
 
 
 def _separating_vector(bigger: Ideal, smaller: Ideal, d: int) -> Polynomial:
     """A basis vector of bigger's degree-d component outside smaller's; the
-    caller asks only when one exists (larger, or equal size, other basis)."""
+    caller asks only when one must exist."""
     small_basis = smaller.component(d)
     for v in bigger.component(d).vectors():
         if not small_basis.contains(v):

@@ -14,7 +14,6 @@ from math import comb
 from spechtideals.betti import PROXY_PRIMES, cm_verdict, koszul_betti
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import (
-    IntersectionInk,
     QuotientRing,
     SquarefreeDegreeIdeal,
     equal_up_to_degree,
@@ -126,11 +125,7 @@ def test_criterion_05_radicalness_up_to_degree():
             lam = Partition(parts)
             for ch in (0, 2, 3):
                 fld = QQ if ch == 0 else field_of(ch)
-                rep = equal_up_to_degree(
-                    specht_ideal(lam, fld),
-                    IntersectionInk(lam.n, lam.parts[0] + 1, fld),
-                    bound,
-                )
+                rep = equal_up_to_degree(lam, fld, bound)
                 assert rep.equal, (parts, ch, rep.first_disagreement)
 
 

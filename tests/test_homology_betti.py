@@ -329,6 +329,25 @@ class TestRegularReduction:
             for t in range(j_max):
                 assert mult_injective(form, ideal, t).injective
 
+    @pytest.mark.parametrize("parts, tried", [((3, 3), 2), ((4, 1, 1), 1)])
+    def test_gf2_divides_by_each_candidate_once(self, monkeypatch, parts, tried):
+        # over GF(2) every nonzero coefficient is 1, so each seeded draw
+        # repeats the all-ones form: a step tries it once
+        calls = []
+        real = betti._divide_by_form
+
+        def spy(ideal, coeffs):
+            calls.append((ideal, coeffs))
+            return real(ideal, coeffs)
+
+        monkeypatch.setattr(betti, "_divide_by_form", spy)
+        shape = Partition(parts)
+        start = specht_ideal(shape, field_of(2)).translation_reduction()
+        betti.regular_reduction(start, default_j_max(shape))
+        for k, (ideal, coeffs) in enumerate(calls):
+            assert not any(i is ideal and c == coeffs for i, c in calls[:k]), (k, coeffs)
+        assert len(calls) == tried
+
     def test_artinian_quotient_is_not_reduced(self):
         # the Artinian reduction's quotient is zero in degree j_max already
         table = koszul_betti(maximal_ideal(4), 5)

@@ -254,13 +254,12 @@ class TestHilbert:
 
 class TestEquality:
     def test_specht_vs_intersection_small(self):
-        rep = equal_up_to_degree(specht_ideal(Partition((2, 2))), IntersectionInk(4, 3, QQ), 6)
+        rep = equal_up_to_degree(Partition((2, 2)), QQ, 6)
         assert rep.equal and rep.first_disagreement is None
+        assert rep.dims_left == rep.dims_right == [IntersectionInk(4, 3, QQ).dim(d) for d in range(7)]
 
     def test_unequal_with_witness(self):
-        rep = equal_up_to_degree(
-            specht_ideal(Partition((3, 2, 1))), IntersectionInk(6, 4, QQ), 4
-        )
+        rep = equal_up_to_degree(Partition((3, 2, 1)), QQ, 4)
         assert not rep.equal
         assert rep.first_disagreement == 3
         sep = rep.separating
@@ -269,32 +268,17 @@ class TestEquality:
         assert IntersectionInk(6, 4, QQ).contains(sep)
         assert not specht_ideal(Partition((3, 2, 1))).contains(sep)
 
-    def test_self_equality(self):
-        ideal = specht_ideal(Partition((2, 2)))
-        rep = equal_up_to_degree(ideal, ideal, 4)
-        assert rep.equal
-
-    def test_ring_mismatch(self):
-        with pytest.raises(ValueError):
-            equal_up_to_degree(
-                specht_ideal(Partition((2, 2))), IntersectionInk(5, 3, QQ), 3
-            )
-
     def test_pigeonhole_inclusion(self):
-        # every Specht generator lies in I_{n,k} for k > lambda_1, and
-        # SpechtIdeal.lies_in says so in closed form, with no membership
-        # test; for k <= lambda_1 it claims nothing
+        # every Specht generator lies in I_{n,k} exactly when k > lambda_1:
+        # two of any k letters then share a column of its tableau
         for n in range(2, 7):
             for lam in enumerate_partitions(n):
                 if lam.is_trivial:
                     continue
-                ideal = specht_ideal(lam)
+                gens = specht_ideal(lam).gens
                 for k in range(2, n + 1):
                     ink = IntersectionInk(n, k, QQ)
-                    assert ideal.lies_in(ink) == (k > lam.parts[0])
-                    if k > lam.parts[0]:
-                        assert all(ink.contains(g) for g in ideal.gens)
-                assert not ideal.lies_in(IntersectionInk(n, n, field_of(2)))
+                    assert all(ink.contains(g) for g in gens) == (k > lam.parts[0]), (lam, k)
 
 
 def _all_products(ideal, d_max):

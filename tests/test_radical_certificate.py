@@ -16,7 +16,7 @@ import pytest
 from spechtideals import betti, cli
 from spechtideals.betti import radical_by_length
 from spechtideals.fields import field_of
-from spechtideals.ideals import IntersectionInk, equal_up_to_degree, specht_ideal
+from spechtideals.ideals import equal_up_to_degree
 from spechtideals.tableaux import Partition
 
 SHAPES = [(a, b) for n in range(2, 9) for b in range(1, n // 2 + 1) for a in [n - b]]
@@ -53,7 +53,7 @@ def test_certified_tables_equal_the_bounded_comparison(parts, char):
     bound = 6 if n == 8 else 8
     payload, code = _radical_check(parts, char, bound)
     fld = field_of(char)
-    rep = equal_up_to_degree(specht_ideal(shape, fld), IntersectionInk(n, k, fld), bound)
+    rep = equal_up_to_degree(shape, fld, bound)
     assert rep.equal and code == 0
     assert payload["tables"]["component_dimensions"] == {
         "specht": rep.dims_left,
