@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii as _escape
 from math import comb
 
 from . import __version__
@@ -30,7 +30,6 @@ from .ideals import (
     equal_up_to_degree,
     hilbert_function,
     mult_injective,
-    QuotientRing,
     series_expand,
     socle,
     specht_ideal,
@@ -54,6 +53,94 @@ from .varieties import (
 )
 
 SCHEMA_VERSION = 1
+
+
+# -- JSON text ------------------------------------------------------------------
+#
+# ``json.dumps(obj, sort_keys=True, indent=2)`` falls back to json's
+# pure-Python generator encoder whenever an indent is given, and rendering
+# then costs more than the mathematics of a large listing.  ``_json_text``
+# writes the same text, byte for byte, in one recursive pass into a list,
+# with json's C string escaper: separators "," and ": ", the items of a
+# dict sorted before their keys are converted, int, float, bool and None
+# keys, ``float.__repr__`` with NaN and Infinity, tuples written as lists,
+# and a TypeError for any other type.
+
+_INF = float("inf")
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte."""
+    out: list[str] = []
+    _emit(obj, out, "\n")
+    return "".join(out)
+
+
+def _emit(obj, out: list, nl: str) -> None:
+    # strings and exact ints, most of a report, are written inline
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, v in sorted(obj.items()):
+            head = sep + _escape(key if type(key) is str else _key_text(key)) + ": "
+            if type(v) is str:
+                out.append(head + _escape(v))
+            elif type(v) is int:
+                out.append(head + int.__repr__(v))
+            else:
+                out.append(head)
+                _emit(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in obj:
+            if type(v) is int:
+                out.append(sep + int.__repr__(v))
+            elif type(v) is str:
+                out.append(sep + _escape(v))
+            else:
+                out.append(sep)
+                _emit(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(_scalar_text(obj))
+
+
+def _scalar_text(obj) -> str:
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (_INF, -_INF):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 @dataclass
@@ -105,7 +192,7 @@ class Report:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+            return _json_text(self.to_jsonable())
         if fmt == "md":
             return self._render_md()
         if fmt == "m2":
@@ -136,7 +223,7 @@ class Report:
                 lines.append("```")
             else:
                 lines.append("```json")
-                lines.append(json.dumps(table, sort_keys=True, indent=2))
+                lines.append(_json_text(table))
                 lines.append("```")
         return "\n".join(lines)
 
@@ -293,9 +380,8 @@ def _cmd_radical_check(args, report: Report) -> int:
 def _cmd_minimal_primes(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
     primes = minimal_primes(shape)
-    report.tables["minimal_primes"] = [
-        {"blocks": [list(b) for b in p.blocks], "height": p.height} for p in primes
-    ]
+    # the blocks stay tuples: the report writes them as lists
+    report.tables["minimal_primes"] = [{"blocks": p.blocks, "height": p.height} for p in primes]
     report.add(
         "minimal_prime_count",
         len(primes),
@@ -429,6 +515,10 @@ def _cmd_condition_star(args, report: Report) -> int:
 
 def _cmd_socle_probe(args, report: Report) -> int:
     mu = Partition.from_text(args.shape)
+    if args.squarefree_deg < 1:
+        raise ValueError("--squarefree-deg must be positive")
+    if args.deg < 0:
+        raise ValueError("--deg must be nonnegative")
     fld = field_of(args.char)
     m = mu.n
     ideal = sum_ideal(
@@ -443,7 +533,7 @@ def _cmd_socle_probe(args, report: Report) -> int:
     if m >= 3 and d == 2:
         x = lambda i: Polynomial.variable(m, i - 1, fld)
         witness = x(1) * x(2) + x(2) * x(3) + x(3) * x(1)
-        nf = QuotientRing(ideal).normal_form(witness)
+        nf = ideal.quotient_ring().normal_form(witness)
         report.add(
             "witness_x1x2+x2x3+x3x1_in_socle",
             soc.contains(nf),

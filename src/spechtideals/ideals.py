@@ -130,9 +130,17 @@ class Ideal:
         self.nvars = nvars
         self.field = fld
         self._components: dict[int, GradedBasis] = {}
+        self._ring: QuotientRing | None = None
 
     def component(self, d: int) -> GradedBasis:
         raise NotImplementedError
+
+    def quotient_ring(self) -> "QuotientRing":
+        """R/I, one per ideal: every caller shares its bases and the
+        reduced x_i maps."""
+        if self._ring is None:
+            self._ring = QuotientRing(self)
+        return self._ring
 
     def dim(self, d: int) -> int:
         return self.component(d).dimension
@@ -772,7 +780,7 @@ def socle(ideal: Ideal, d: int) -> GradedBasis:
     """Basis of {y in (R/I)_d : x_i y = 0 in (R/I)_{d+1} for all i}."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    q = QuotientRing(ideal)
+    q = ideal.quotient_ring()
     src = q.basis_columns(d)
     tgt_dim = q.quotient_dim(d + 1)
     rows = []
@@ -807,7 +815,7 @@ def mult_injective(form: Polynomial, ideal: Ideal, d: int) -> MultMapReport:
         raise ValueError("multiplier must be a homogeneous linear form")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    q = QuotientRing(ideal)
+    q = ideal.quotient_ring()
     src = q.basis_columns(d)
     fld = ideal.field
     coeffs = {m.index(1): fld.of(c) for m, c in form.terms.items()}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from spechtideals import betti, cli, linalg, specht, varieties
+from spechtideals import betti, cli, ideals, linalg, specht, varieties
 from spechtideals.betti import ProxyDisagreement, SelfCheckError
 from spechtideals.cli import _COMMANDS, run
 
@@ -235,6 +235,19 @@ class TestCommands:
         assert code == 0
         assert verdict(payload, "e1_bijective") is True
 
+    def test_socle_probe_builds_one_quotient_ring(self, monkeypatch):
+        # the socle, the witness's normal form and the e1 map share R/I
+        built = []
+        init = ideals.QuotientRing.__init__
+
+        def counting(self, ideal):
+            built.append(ideal)
+            init(self, ideal)
+
+        monkeypatch.setattr(ideals.QuotientRing, "__init__", counting)
+        _, code = run(["socle-probe", "--shape", "4,2", "--char", "0"])
+        assert code == 0 and len(built) == 1
+
     def test_experiment(self):
         payload, code = run_json(
             ["experiment", "--n-max", "6", "--primes", "2,5"]
@@ -403,6 +416,14 @@ class TestRefusedInput:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == "error: the trivial shape is excluded\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_socle_probe_names_the_squarefree_degree(self, value):
+        argv = ["socle-probe", "--shape", "2,2", "--squarefree-deg", value]
+        out = _cli_process(argv, stdout=subprocess.PIPE)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: --squarefree-deg must be positive\n"
 
     def test_bounds_at_the_edge_stay_valid(self):
         payload, code = run_json(["cm-check", "--shape", "3,3", "--max-deg", "3"])
