@@ -39,11 +39,11 @@ When the reduction ends at an Artinian quotient of top degree s in m
 variables, its socle gives Koszul homology in degree m + s, so the table
 is ``closed_off`` only when m + s <= j_max.
 
-In characteristic 0, ``cm_verdict`` first tries a certified Artinian
-reduction (Serre's multiplicity criterion, Bruns-Herzog 4.7), in
+Without an explicit degree bound, ``cm_verdict`` first tries a certified
+Artinian reduction (Serre's multiplicity criterion, Bruns-Herzog 4.7), in
 ``artinian_reduction``.  The translation step sends x_n to 0, and
 d = n - 1 - lambda_1 linear forms in the first lambda_1 variables, with
-coefficients drawn from all of GF(p) by a fixed generator, replace the
+coefficients drawn from all of a field by a fixed generator, replace the
 remaining d.  The image of I is then generated in degree D =
 ``specht_poly_degree`` in lambda_1 variables, and the forms are a system
 of parameters exactly when its quotient is Artinian, which its Hilbert
@@ -53,23 +53,30 @@ the same values give the length L.  L is then at least e(V), the number
 of minimal primes of height lambda_1 (counted from block-size profiles,
 without a listing), and L = e(V) proves R/I Cohen-Macaulay: the forms are
 then a regular sequence, so the Artinian quotient has the same Betti
-table, finite and complete.  L is computed over GF(p) for integer forms;
-a GF(p) dimension bounds the rational one from above, so a GF(p)
-quotient that vanishes, and L_p = e(V), prove both in characteristic 0
-as well.  When d = 0 the translation step alone leaves an Artinian
-quotient and e(V) is not needed.  A certified quotient has length e(V),
-so its Koszul complex has e(V) 2^lambda_1 basis elements; past the column
-cap the attempt is skipped before any Hilbert function is computed.
-Otherwise (no system of parameters in ``_SOP_DRAWS`` draws, L > e(V), a
-positive characteristic, an explicit degree bound, or a skipped attempt)
-the Koszul table up to a degree bound is used, and its certificate is
-``heuristic``: the strands only look closed.
+table, finite and complete.  In characteristic 0, L is computed over
+GF(p) for integer forms; a GF(p) dimension bounds the rational one from
+above, so a GF(p) quotient that vanishes, and L_p = e(V), prove both in
+characteristic 0 as well.  In characteristic p the forms are drawn over
+``fields.draw_field(p)`` (``artinian_field``), GF(p^k) with at least 200
+elements, since a small prime field may have no system of parameters at
+all.  L >= e(V) holds in every characteristic, and base change from
+GF(p) to GF(p^k) keeps Cohen-Macaulayness and every Betti number, so
+L = e(V) over GF(p^k) proves the verdict and the table over GF(p);
+``betti --char p`` reads the same complete table up to its degree bound.
+When d = 0 the translation step alone leaves an Artinian quotient, over
+GF(p) itself, and e(V) is not needed.  A certified quotient has length
+e(V), so its Koszul complex has e(V) 2^lambda_1 basis elements; past the
+column cap the attempt is skipped before any Hilbert function is computed.
+Otherwise (no system of parameters in ``_SOP_DRAWS`` draws, L > e(V), an
+explicit degree bound, or a skipped attempt) the Koszul table up to a
+degree bound is used, and its certificate is ``heuristic``: the strands
+only look closed.  In characteristic p such a certificate keeps none of
+the attempt's values, which were measured over another field.
 
 The draw-and-accept loop, ``artinian_draw``, also serves
 ``radical_by_length``, which proves I^Sp = I_{n,lambda_1+1} in every
 degree where the minimal primes are the P_F with |F| = lambda_1 + 1: there
-L = e(V) makes R/I CM and reduced (its docstring).  In characteristic p it
-draws over ``fields.draw_field(p)``, GF(p^k) with at least 200 elements.
+L = e(V) makes R/I CM and reduced (its docstring), over the same field.
 
 Characteristic 0 tables are computed over the two large primes of
 ``fields.PROXY_PRIMES``, whose tables must agree (a disagreement raises,
@@ -85,7 +92,7 @@ from math import comb
 
 from .fields import PROXY_PRIMES, Field, QQ, draw_field, field_of
 from .ideals import GeneratedIdeal, QuotientRing, hilbert_function, specht_ideal
-from .linalg import add_scaled, rank_dense_mod_p, rank_sparse
+from .linalg import add_scaled, add_scaled_table, rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
 from .tableaux import Partition, enumerate_standard_tableaux
@@ -126,6 +133,13 @@ class BettiTable:
         return all(j < self.j_max for (_, j) in self.entries) and (
             self.artinian_end is None or self.artinian_end <= self.j_max
         )
+
+    def up_to(self, j_max: int) -> "BettiTable":
+        """The table read up to internal degree j_max.  A complete table
+        keeps its socle degree, so the cut is ``closed_off`` exactly when
+        every entry lies below j_max."""
+        entries = {key: v for key, v in self.entries.items() if key[1] <= j_max}
+        return replace(self, entries=entries, j_max=j_max)
 
     def totals(self) -> list[int]:
         out = [0] * (self.pd + 1)
@@ -247,9 +261,18 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
     # an Artinian quotient (the Artinian reduction, or an (n-1, 1) hook)
     # has Koszul matrices with dense rows.  Over GF(p) those past
     # _DENSE_CELLS cells take the dense rank, several times faster there;
-    # on smaller ones it saves less than its numpy import costs
-    p = work.field.modulus  # the row kernels below compute in prime fields
-    dense = p > 0 and qdim[-1] == 0
+    # on smaller ones it saves less than its numpy import costs.  The dense
+    # rank computes in prime fields only: GF(p^k) ranks sparse
+    fld = work.field
+    p = fld.characteristic
+    dense = p > 0 and fld.degree == 1 and qdim[-1] == 0
+    # the row kernel and what it computes in, picked once: add_scaled mod p
+    # (0 over QQ), or the log-table kernel over GF(p^k), where -1 is the
+    # element code fld.neg(1)
+    if fld.degree > 1:
+        add, over, minus = add_scaled_table, fld, fld.neg(1)
+    else:
+        add, over, minus = add_scaled, p, -1
 
     def chain_dim(i: int, j: int) -> int:
         t = j - i
@@ -277,13 +300,13 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
         maps = [q.mult_map(s, t) for s in range(m)]
         for S in subsets[i]:
             smaller = [
-                (-1 if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
+                (minus if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
                 for pos, s in enumerate(S)
             ]
             for src in range(qdim[t]):
                 row: dict = {}
                 for sign, s_idx, s in smaller:
-                    add_scaled(row, sign, maps[s][src], p, s_idx * tgt_block)
+                    add(row, sign, maps[s][src], over, s_idx * tgt_block)
                 yield row
 
     ranks: dict[tuple[int, int], int] = {}
@@ -296,7 +319,7 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
         elif dense and chain_dim(i, j) * ncols > _DENSE_CELLS:
             ranks[(i, j)] = rank_dense_mod_p(list(koszul_rows(i, j - i)), ncols, p)
         else:
-            ranks[(i, j)] = rank_sparse(koszul_rows(i, j - i), work.field)
+            ranks[(i, j)] = rank_sparse(koszul_rows(i, j - i), fld)
         if not 0 <= ranks[(i, j)] <= min(chain_dim(i, j), ncols):
             raise SelfCheckError(
                 f"Koszul rank {ranks[(i, j)]} at (i={i}, j={j}) outside "
@@ -317,7 +340,7 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
                 entries[(i, j)] = beta
     return BettiTable(
         n=ideal.nvars,
-        characteristic=work.field.characteristic,
+        characteristic=p,
         entries=entries,
         j_max=j_max,
         reduced=(start.nvars, m),
@@ -333,11 +356,16 @@ class Certificate:
     """How a verdict was established, as the report shows it.
 
     For ``cm-check``: ``artinian-length``, the Artinian reduction proved CM
-    and the table is complete; ``heuristic``, the table is a Koszul table up
-    to ``j_max`` whose strands look closed, and ``length`` and
-    ``multiplicity`` then record an Artinian attempt that did not certify,
-    if one ran.  For ``radical-check``: ``artinian-length``, the equality
-    holds in every degree (``radical_by_length``, ``j_max`` None);
+    over ``fields`` (the two proxy primes in characteristic 0, the one
+    field of ``artinian_field`` in characteristic p) and the table is
+    complete; ``heuristic``, the table is a Koszul table up to ``j_max``
+    whose strands look closed.  A certificate records only values measured
+    over its own fields: a ``heuristic`` one keeps the ``length`` and
+    ``multiplicity`` of an Artinian attempt that did not certify, if one
+    ran, in characteristic 0, and none in characteristic p.
+
+    For ``radical-check``: ``artinian-length``, the equality holds in
+    every degree (``radical_by_length``, ``j_max`` None);
     ``bounded-degree``, the components agree up to ``j_max``;
     ``separating-polynomial``, a polynomial of degree <= ``j_max`` lies in
     one ideal and not the other.
@@ -440,6 +468,15 @@ def _length_is_e_v(shape: Partition, h: list[int], e_v: int, fld: Field, trace: 
     return sum(h) == e_v
 
 
+def artinian_field(shape: Partition, characteristic: int) -> Field:
+    """The one field that the Artinian reduction runs over in characteristic
+    p > 0: ``fields.draw_field(p)`` when forms are drawn, GF(p) when the
+    translation step alone leaves an Artinian quotient (n - 1 = lambda_1)."""
+    if shape.n - 1 - shape.parts[0]:
+        return draw_field(characteristic)
+    return field_of(characteristic)
+
+
 def artinian_reduction(
     shape: Partition, fields: list[Field], trace: list[str] | None = None
 ) -> tuple[list[BettiTable] | None, dict]:
@@ -447,9 +484,12 @@ def artinian_reduction(
 
     Returns the complete Betti table over each field when L = e(V) (or no
     forms were needed), else None; and the values measured over the first
-    field (length, multiplicity, h_vector) for the certificate.  e(V)
-    comes from ``varieties.height_and_purity``, which lists nothing, so the
-    column-cap gate fires before any Hilbert function is computed.  The
+    field (length, multiplicity, h_vector) for the certificate.  The
+    fields are the proxy primes in characteristic 0 and the one field of
+    ``artinian_field`` in characteristic p; GF(p^k) tables are ranked on
+    the log-table kernel.  e(V) comes from ``varieties.height_and_purity``,
+    which lists nothing, so the column-cap gate fires before any Hilbert
+    function is computed.  The
     forms are drawn over the first field (``artinian_draw``), as integers
     below its order, and that field settles L = e(V) before any other field
     is tried, so a shape that is not CM costs one Hilbert function per draw.
@@ -477,12 +517,11 @@ def artinian_reduction(
     if drawn is None:
         return None, measured
     images, art, h = drawn
-    top = _artinian_top(shape)
     quotients = []
     for fld in fields:
         if quotients:  # the first field's quotient is the accepted draw's
             art = artinian_ideal(shape, images, fld)
-            h = hilbert_function(art, top + 1)
+            h = hilbert_function(art, _artinian_top(shape) + 1)
             if h[-1]:
                 trace.append(f"drawn forms are not a system of parameters over {fld}")
                 return None, measured
@@ -583,9 +622,11 @@ def cm_verdict(
 
     depth is defined as n - pd (graded Auslander-Buchsbaum); dim R/I is
     n - lambda_1 (the height theorem); CM is their equality; Gorenstein is
-    CM with final total Betti number 1.  Characteristic 0 without a degree
-    bound first tries ``artinian_reduction``; otherwise, and whenever it
-    does not certify, the table is the Koszul table up to ``j_max``.
+    CM with final total Betti number 1.  Without a degree bound it first
+    tries ``artinian_reduction``, in characteristic p over the one field of
+    ``artinian_field``; otherwise, and whenever it does not certify, the
+    table is the Koszul table up to ``j_max``, and in characteristic p the
+    failed attempt leaves nothing in the certificate.
     Characteristic 0 runs over two large primes that must agree; set
     ``exact_rational`` to also run over the rationals and compare.  Every
     field's table must agree with the first one's.
@@ -600,8 +641,14 @@ def cm_verdict(
     fields = [field_of(p) for p in (PROXY_PRIMES if characteristic == 0 else (characteristic,))]
     fields += [QQ] if exact_rational else []
     tables, measured = None, {}
-    if characteristic == 0 and j_max is None:
-        tables, measured = artinian_reduction(shape, fields, trace)
+    if j_max is None:
+        over = [artinian_field(shape, characteristic)] if characteristic else fields
+        tables, measured = artinian_reduction(shape, over, trace)
+        if tables is not None:
+            fields = over
+        elif characteristic:
+            # measured over a field the Koszul table does not use
+            measured = {}
     if tables is not None:
         kind, provenance = "artinian-length", f"betti.artinian_reduction({shape})"
     else:

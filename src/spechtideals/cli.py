@@ -23,7 +23,15 @@ from math import comb
 
 from . import __version__
 from .fields import PROXY_PRIMES, field_of
-from .betti import Certificate, cm_verdict, koszul_betti, radical_by_length, resolve_j_max
+from .betti import (
+    Certificate,
+    artinian_field,
+    artinian_reduction,
+    cm_verdict,
+    koszul_betti,
+    radical_by_length,
+    resolve_j_max,
+)
 from .ideals import (
     IntersectionInk,
     SquarefreeDegreeIdeal,
@@ -406,6 +414,7 @@ def _cmd_betti(args, report: Report) -> int:
     if shape.is_trivial:  # I^Sp is R itself, in every characteristic
         raise ValueError("the trivial shape is excluded")
     jm = resolve_j_max(shape, args.max_deg)
+    certified = None
     if args.char == 0:
         table = cm_verdict(shape, 0, j_max=jm).table
         over = " and ".join(f"GF({p})" for p in PROXY_PRIMES)
@@ -415,13 +424,22 @@ def _cmd_betti(args, report: Report) -> int:
             f"betti.cm_verdict over {over}, j<= {table.j_max}",
         )
     else:
-        table = koszul_betti(specht_ideal(shape, field_of(args.char)), jm)
+        # the complete table, when the Artinian reduction proves it, read
+        # up to the bound; else the Koszul table up to the bound
+        fld = artinian_field(shape, args.char)
+        certified, _ = artinian_reduction(shape, [fld])
+        if certified is None:
+            table = koszul_betti(specht_ideal(shape, field_of(args.char)), jm)
+        else:
+            table = certified[0].up_to(jm)
     report.tables["betti"] = table.to_jsonable()
     report.tables["betti_diagram"] = table.m2_lines()
     report.add(
         "top_strand_closed_off",
         table.closed_off,
-        f"betti.koszul_betti(I^Sp_{shape}, j_max={table.j_max}, char={args.char})",
+        f"betti.koszul_betti(I^Sp_{shape}, j_max={table.j_max}, char={args.char})"
+        if certified is None
+        else f"betti.artinian_reduction({shape}) over {fld}, j<= {table.j_max}",
     )
     return 0
 

@@ -10,11 +10,12 @@ does ordinary monic elimination; over the rationals it is fraction-free
 (Bareiss-style cross-multiplication with content stripping), so all
 intermediate entries are integers.  Over GF(p^k), k > 1, it is monic
 elimination on the field's log tables; an Echelon picks that kernel once,
-when it is built.  The kernels that take an int modulus, ``add_scaled``
-and ``rank_dense_mod_p``, compute in prime fields only, and their callers
-read the modulus from ``Field.modulus``, which GF(p^k) refuses.  Reduced
-form is maintained incrementally, which keeps stored rows supported on
-their pivot plus the current non-pivot columns only.  Normal forms modulo
+when it is built, and so do ``betti.koszul_betti``'s rows.  The kernels
+that take an int modulus, ``add_scaled`` and ``rank_dense_mod_p``, compute
+in prime fields only, and their other callers read the modulus from
+``Field.modulus``, which GF(p^k) refuses.  Reduced form is maintained
+incrementally, which keeps stored rows supported on their pivot plus the
+current non-pivot columns only.  Normal forms modulo
 a reduced basis go through :meth:`Echelon.reduce_exact`.  Ranks come from
 :func:`rank_sparse` over any field, or from the vectorized
 :func:`rank_dense_mod_p` over GF(p), which imports numpy on its first call,
@@ -46,13 +47,15 @@ def add_scaled(row: dict, c, src: dict, p: int, offset: int = 0) -> None:
             row.pop(k, None)
 
 
-def add_scaled_table(row: dict, c: int, src: dict, fld: ExtensionField) -> None:
-    """In place ``row += c * src`` over GF(p^k), on the field's log tables;
-    c is nonzero.  Entries that cancel are dropped."""
+def add_scaled_table(row: dict, c: int, src: dict, fld: ExtensionField, offset: int = 0) -> None:
+    """In place ``row += c * src`` over GF(p^k), on the field's log tables,
+    src's columns shifted by ``offset``; c is nonzero.  Entries that cancel
+    are dropped."""
     exp, log = fld.exp, fld.log
     lc = log[c]
     if fld.characteristic == 2:
         for k, v in src.items():
+            k += offset
             nv = row.get(k, 0) ^ exp[lc + log[v]]
             if nv:
                 row[k] = nv
@@ -61,6 +64,7 @@ def add_scaled_table(row: dict, c: int, src: dict, fld: ExtensionField) -> None:
         return
     zech, n = fld.zech, fld.order - 1
     for k, v in src.items():
+        k += offset
         lt = lc + log[v]  # the term c v = x^lt
         a = row.get(k)
         if a is None:

@@ -160,6 +160,50 @@ class TestCommands:
         assert verdict(payload, "certificate") == "heuristic"
         assert payload["tables"]["certificate"]["fields"] == ["GF(2)"]
 
+    @pytest.mark.parametrize("shape, char, j_max", [("3,3", 2, 9), ("2,2,2", 3, 13)])
+    def test_failed_attempt_leaves_no_trace(self, shape, char, j_max):
+        # L > e(V) over GF(p^k): the Koszul table's certificate names GF(p)
+        # alone and keeps nothing the attempt measured over GF(p^k)
+        payload, code = run_json(["cm-check", "--shape", shape, "--char", str(char)])
+        assert code == 1 and verdict(payload, "is_cm") is False
+        assert payload["tables"]["certificate"] == {
+            "kind": "heuristic",
+            "fields": [f"GF({char})"],
+            "j_max": j_max,
+            "length": None,
+            "e_V": None,
+            "h_vector": None,
+        }
+
+    @pytest.mark.parametrize("shape, char, field, length", [
+        ("3,3", 3, "GF(3^5)", 15),
+        ("5,3", 3, "GF(3^5)", 28),
+        ("3,3,1", 5, "GF(5^4)", 35),
+    ])
+    def test_cm_check_certified_in_positive_characteristic(self, shape, char, field, length):
+        payload, code = run_json(["cm-check", "--shape", shape, "--char", str(char)])
+        assert code == 0 and verdict(payload, "is_cm") is True
+        cert = payload["tables"]["certificate"]
+        assert (cert["kind"], cert["fields"]) == ("artinian-length", [field])
+        assert cert["length"] == cert["e_V"] == length
+        assert payload["tables"]["betti"]["closed_off"] is True
+
+    def test_betti_names_the_artinian_reduction(self):
+        # the certified table, read up to the default bound, is the Koszul
+        # table; the flag beside it names its real producer
+        payload, code = run_json(["betti", "--shape", "2,2,1", "--char", "3"])
+        assert code == 0
+        assert payload["tables"]["betti"]["entries"] == [
+            {"i": 0, "j": 0, "beta": 1}, {"i": 1, "j": 4, "beta": 5}, {"i": 2, "j": 5, "beta": 4},
+        ]
+        provenance = {v["name"]: v["provenance"] for v in payload["verdicts"]}
+        assert provenance["top_strand_closed_off"] == (
+            "betti.artinian_reduction((2,2,1)) over GF(3^5), j<= 10"
+        )
+        payload, _ = run_json(["betti", "--shape", "2,2,1", "--char", "2"])
+        provenance = {v["name"]: v["provenance"] for v in payload["verdicts"]}
+        assert provenance["top_strand_closed_off"] == "betti.koszul_betti(I^Sp_(2,2,1), j_max=10, char=2)"
+
     def test_catalan(self):
         payload, code = run_json(["catalan", "--n", "4"])
         assert code == 0
@@ -515,6 +559,15 @@ class TestInternalError:
         out = _cli_process(["cm-check", "--shape", "3,3,1", "--char", "0"], stdout=subprocess.PIPE)
         assert out.returncode == 0 and out.stderr == ""
         assert verdict(json.loads(out.stdout), "is_cm") is True
+
+    def test_positive_characteristic_frontier_in_a_process(self):
+        # the Koszul path took 2.6 s here; the Artinian length over GF(5^4)
+        # answers in about 0.1 s
+        start = time.monotonic()
+        out = _cli_process(["cm-check", "--shape", "3,3,1", "--char", "5"], stdout=subprocess.PIPE)
+        assert time.monotonic() - start < 2
+        assert out.returncode == 0 and out.stderr == ""
+        assert verdict(json.loads(out.stdout), "certificate") == "artinian-length"
 
 
 class TestClosedPipe:

@@ -3,7 +3,8 @@
 Elements of GF(p^k) are int codes below p^k whose base-p digits are the
 coefficients of a polynomial in x; the prime subfield is 0 .. p-1.
 ``Echelon`` over GF(p^k) runs on the field's log tables, and the kernels
-that take an int modulus refuse the field.
+that take an int modulus refuse the field; ``koszul_betti`` picks the
+log-table kernel for its rows.
 """
 
 import random
@@ -12,12 +13,13 @@ from itertools import product
 
 import pytest
 
-from spechtideals import fields
-from spechtideals.betti import koszul_betti
+from spechtideals import betti, fields
+from spechtideals.betti import default_j_max, koszul_betti
 from spechtideals.fields import ExtensionField, draw_field, field_of
-from spechtideals.ideals import GeneratedIdeal, IntersectionInk, mult_injective
+from spechtideals.ideals import GeneratedIdeal, IntersectionInk, mult_injective, specht_ideal
 from spechtideals.linalg import Echelon, echelon_span, intersect_spans, rank_sparse
 from spechtideals.poly import Polynomial
+from spechtideals.tableaux import Partition
 
 EXTENSIONS = [(2, 2), (2, 3), (2, 8), (3, 2), (3, 3), (3, 5), (5, 2), (7, 3)]
 
@@ -147,11 +149,9 @@ class TestPrimeKernelsRefuse:
             ink.contains(diff)
         assert ink.dim(1) == 0 and ink.dim(3) == IntersectionInk(3, 2, field_of(2)).dim(3)
 
-    def test_koszul_and_injectivity(self):
+    def test_injectivity(self):
         gf4 = field_of(2, 2)
         ideal = GeneratedIdeal(3, gf4, [Polynomial.variable(3, 0, gf4) ** 2])
-        with pytest.raises(ValueError):
-            koszul_betti(ideal, 3)
         with pytest.raises(ValueError):
             mult_injective(Polynomial.variable(3, 1, gf4), ideal, 1)
 
@@ -161,6 +161,48 @@ class TestPrimeKernelsRefuse:
         a, b = echelon_span(xs, 1), echelon_span([xs[0].scale(2) + xs[1]], 1)
         with pytest.raises(ValueError):
             intersect_spans([a, b])
+
+
+class TestKoszulRows:
+    """``koszul_betti`` builds its rows on the log-table kernel over GF(p^k)."""
+
+    @pytest.mark.parametrize("parts, p, k", [
+        ((3, 3), 2, 2),  # ranked in 4 variables: d_3 and d_4 are built
+        ((3, 3), 2, 8),
+        ((2, 2, 1), 3, 2),
+        ((3, 1, 1), 3, 5),
+        ((3, 2), 5, 2),
+    ])
+    def test_same_table_over_gf_p_and_gf_p_k(self, parts, p, k):
+        # the x_n -> 0 image of I^Sp has prime-field coefficients, which are
+        # the same codes in GF(p^k); base change keeps every Betti number,
+        # and the regular reduction draws the same forms over both fields
+        shape = Partition(parts)
+        gens = specht_ideal(shape, field_of(p)).translation_reduction().generator_list()
+        j_max = default_j_max(shape)
+        tables = []
+        for fld in (field_of(p), field_of(p, k)):
+            ideal = GeneratedIdeal(shape.n - 1, fld, [Polynomial(g.nvars, fld, g.terms) for g in gens])
+            tables.append(koszul_betti(ideal, j_max))
+        prime, extension = tables
+        assert extension.entries == prime.entries and extension.reduced == prime.reduced
+        assert extension.closed_off == prime.closed_off
+        assert extension.characteristic == p
+
+    def test_artinian_rows_are_ranked_sparse(self, monkeypatch):
+        # an Artinian quotient's large matrices take the dense rank over
+        # GF(p), which computes in prime fields only
+        def no_dense(*args):
+            raise AssertionError("a GF(p^k) matrix was ranked densely")
+
+        monkeypatch.setattr(betti, "rank_dense_mod_p", no_dense)
+        monkeypatch.setattr(betti, "_DENSE_CELLS", 0)
+        fld = field_of(3, 2)
+        xs = [Polynomial.variable(4, i, fld) for i in range(4)]
+        ideal = GeneratedIdeal(4, fld, [x * x for x in xs])
+        table = koszul_betti(ideal, 8)
+        assert table.artinian_end == 8 and table.entry(4, 8) == 1
+        assert table.entries[1, 2] == 4 and table.totals() == [1, 4, 6, 4, 1]
 
 
 def _random_rows(rng, nrows, ncols, values, density=0.5):

@@ -11,6 +11,7 @@ from conftest import perfbench_module
 from spechtideals import betti, varieties
 from spechtideals.betti import (
     PROXY_PRIMES,
+    artinian_field,
     artinian_ideal,
     artinian_reduction,
     cm_verdict,
@@ -395,8 +396,9 @@ class TestCmVerdict:
 
     def test_refusal_names_the_last_bound(self, monkeypatch):
         # the strands are tried at j_max, j_max + 2 and j_max + 4
+        # (3,3) over GF(2) is not CM, so it takes the Koszul path
         monkeypatch.setattr(betti.BettiTable, "closed_off", property(lambda self: False))
-        shape = Partition((2, 2))
+        shape = Partition((3, 3))
         with pytest.raises(ResourceLimitError) as exc:
             cm_verdict(shape, 2)
         assert str(exc.value) == (
@@ -420,7 +422,10 @@ class TestCmVerdict:
 
     def test_trace_names_the_regular_reduction(self):
         v = cm_verdict(Partition((3, 3)), 2)
-        assert v.trace == ["Koszul ranks over GF(2): 1 linear form(s) divided out, 5 -> 4 variables"]
+        assert v.trace == [
+            "length 16 over GF(2^8) exceeds e(V) = 15",
+            "Koszul ranks over GF(2): 1 linear form(s) divided out, 5 -> 4 variables",
+        ]
         v = cm_verdict(Partition((3, 3)), 0, j_max=8)
         assert v.trace == [
             f"Koszul ranks over GF({p}): 2 linear form(s) divided out, 5 -> 3 variables"
@@ -653,6 +658,156 @@ class TestArtinianReduction:
         v = cm_verdict(Partition((3, 3)), 0, j_max=8)
         assert v.certificate.kind == "heuristic" and v.table.j_max == 8
         assert v.certificate.length is None
+
+
+NONTRIVIAL_UP_TO_7 = [p for n in range(2, 8) for p in _partitions(n) if len(p) > 1]
+# the pairs (shape, p), n <= 7 and p in (2, 3, 5), whose Artinian reduction
+# over ``artinian_field`` does not certify; every other pair is proved CM
+NOT_CERTIFIED = {
+    # L > e(V): not CM in these characteristics
+    (2, 2, 1): (2,),
+    (3, 3): (2,),
+    (4, 3): (2,),
+    (3, 3, 1): (2, 3),
+    (3, 2, 1): (2, 3, 5),
+    (2, 2, 2): (2, 3, 5),
+    (2, 2, 1, 1): (2, 3, 5),
+    (4, 2, 1): (2, 3, 5),
+    (3, 2, 2): (2, 3, 5),
+    (3, 2, 1, 1): (2, 3, 5),
+    (2, 2, 2, 1): (2, 3, 5),
+    (2, 2, 1, 1, 1): (2, 3, 5),
+    # no system of parameters in _SOP_DRAWS draws over GF(2^8) and GF(5^4)
+    (4, 1, 1, 1): (2,),
+    (3, 1, 1, 1, 1): (5,),
+}
+# Koszul tables at the default j_max that take more than a second to
+# compute (up to three minutes), as ``betti --char p`` printed them before
+# the certified table took their place
+_HOOK_2_1_1_1_1 = {(0, 0): 1, (1, 10): 5, (2, 11): 1, (2, 12): 1, (2, 13): 1, (2, 14): 1}
+SLOW_KOSZUL = {
+    ((3, 1, 1, 1), 2): {
+        (0, 0): 1, (1, 6): 10, (2, 7): 5, (2, 8): 5, (2, 9): 5, (3, 8): 1, (3, 9): 1,
+        (3, 10): 2, (3, 11): 1, (3, 12): 1,
+    },
+    ((4, 1, 1, 1), 5): {
+        (0, 0): 1, (1, 6): 20, (2, 7): 15, (2, 8): 15, (2, 9): 15, (3, 8): 6, (3, 9): 6,
+        (3, 10): 12, (3, 11): 6, (3, 12): 6, (4, 9): 1, (4, 10): 1, (4, 11): 2, (4, 12): 2,
+    },
+    ((3, 3, 1), 5): {(0, 0): 1, (1, 5): 21, (2, 6): 35, (3, 7): 15},
+    ((2, 1, 1, 1, 1), 2): _HOOK_2_1_1_1_1,
+    ((2, 1, 1, 1, 1), 3): _HOOK_2_1_1_1_1,
+    ((2, 1, 1, 1, 1), 5): _HOOK_2_1_1_1_1,
+    ((1,) * 6, 2): {(0, 0): 1, (1, 15): 1},
+    ((1,) * 7, 3): {(0, 0): 1, (1, 21): 1},
+    ((1,) * 7, 5): {(0, 0): 1, (1, 21): 1},
+}
+# pairs whose Koszul table at the default j_max exceeds the column cap
+# (``betti`` exited 3) or ran for more than two minutes: the Hilbert series
+# checks their certified table instead
+UNFINISHED = [
+    ((4, 1, 1, 1), 3),
+    ((3, 1, 1, 1, 1), 2),
+    ((3, 1, 1, 1, 1), 3),
+    ((2, 1, 1, 1, 1, 1), 2),
+    ((2, 1, 1, 1, 1, 1), 3),
+    ((2, 1, 1, 1, 1, 1), 5),
+    ((1,) * 7, 2),
+]
+
+
+class TestPositiveCharacteristic:
+    """In characteristic p, ``cm_verdict`` and ``betti`` first try the
+    Artinian reduction over ``artinian_field``; L = e(V) there proves CM
+    over GF(p) and gives the complete Betti table."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("parts", NONTRIVIAL_UP_TO_7, ids=str)
+    def test_certified_table_is_the_koszul_table(self, parts, p):
+        shape = Partition(parts)
+        fld = artinian_field(shape, p)
+        if p in NOT_CERTIFIED.get(parts, ()):
+            # the Koszul path, as before: cm_verdict and betti fall back
+            tables, _ = artinian_reduction(shape, [fld])
+            assert tables is None
+            return
+        v = cm_verdict(shape, p)
+        assert v.certificate.kind == "artinian-length"
+        assert v.certificate.fields == (repr(fld),)
+        # the Koszul path gave CM, exit code 0, on every such pair
+        assert v.is_cm and v.table.closed_off and v.pd == parts[0]
+        j_max = default_j_max(shape)
+        cut = {key: beta for key, beta in v.table.entries.items() if key[1] <= j_max}
+        if (parts, p) in UNFINISHED:
+            from spechtideals.ideals import series_expand
+
+            numerator: dict[int, int] = {}
+            for (i, j), beta in v.table.entries.items():
+                numerator[j] = numerator.get(j, 0) + (-1) ** i * beta
+            top = max(numerator) + 1
+            expected = series_expand([numerator.get(j, 0) for j in range(top + 1)], shape.n, top)
+            assert hilbert_function(specht_ideal(shape, field_of(p)), top) == expected
+            return
+        koszul = SLOW_KOSZUL.get((parts, p))
+        if koszul is None:
+            koszul = koszul_betti(specht_ideal(shape, field_of(p)), j_max).entries
+        assert cut == koszul
+
+    @pytest.mark.parametrize("parts, p, fld, h_vector", [
+        ((2, 2, 1), 3, "GF(3^5)", (1, 2, 3, 4)),
+        ((3, 3), 3, "GF(3^5)", (1, 3, 6, 5)),
+        ((5, 3), 3, "GF(3^5)", (1, 5, 15, 7)),
+        ((3, 3, 1), 5, "GF(5^4)", (1, 3, 6, 10, 15)),
+        ((4, 1), 2, "GF(2)", (1,)),  # no forms: GF(p) itself
+    ])
+    def test_certified_cases(self, parts, p, fld, h_vector):
+        v = cm_verdict(Partition(parts), p)
+        cert = v.certificate
+        assert (cert.kind, cert.fields, cert.h_vector) == ("artinian-length", (fld,), h_vector)
+        assert cert.length == sum(h_vector) and v.is_cm
+        assert cert.multiplicity == (None if len(h_vector) == 1 else sum(h_vector))
+
+    @pytest.mark.parametrize("parts", [(3, 3), (2, 2, 1)])
+    def test_still_heuristic_over_gf2(self, parts):
+        v = cm_verdict(Partition(parts), 2)
+        cert = v.certificate
+        assert (cert.kind, cert.fields) == ("heuristic", ("GF(2)",))
+        assert cert.length is cert.multiplicity is cert.h_vector is None
+        assert not v.is_cm and "exceeds e(V)" in v.trace[0]
+
+    def test_refused_draws_leave_no_trace(self, monkeypatch):
+        # the zero ideal's quotient never vanishes, so every draw misses
+        monkeypatch.setattr(
+            betti, "artinian_ideal", lambda shape, images, fld: GeneratedIdeal(len(images[0]), fld, [])
+        )
+        v = cm_verdict(Partition((2, 2)), 3)
+        assert v.certificate == betti.Certificate(
+            "heuristic", "betti.koszul_betti(I^Sp_(2,2), j_max=7)", ("GF(3)",), 7
+        )
+        assert sum("not a system of parameters" in t for t in v.trace) == betti._SOP_DRAWS
+        assert v.is_cm and v.table.entries == GOLDEN_TABLES[(2, 2), 3]
+
+    def test_skipped_attempt_leaves_no_trace(self, monkeypatch):
+        # e(V) 2^lambda_1 = 16 columns past a cap of 15; the Koszul path
+        # of (2,2) ends in two variables, within it
+        monkeypatch.setattr(betti, "_COLUMN_CAP", 15)
+        v = cm_verdict(Partition((2, 2)), 3)
+        assert "exceeds the column cap" in v.trace[0]
+        assert v.certificate.kind == "heuristic"
+        assert v.certificate.length is v.certificate.multiplicity is None
+        assert v.table.entries == GOLDEN_TABLES[(2, 2), 3]
+
+    @pytest.mark.parametrize("parts, p", [((6, 2), 3), ((5, 2), 3), ((4, 1, 1), 2)])
+    def test_betti_reads_the_certified_table_up_to_the_bound(self, parts, p):
+        # the complete table's socle lies at or past the default bound: the
+        # cut is not closed off, as the Koszul table up to the bound was not
+        shape = Partition(parts)
+        j_max = default_j_max(shape)
+        (table,), _ = artinian_reduction(shape, [artinian_field(shape, p)])
+        cut = table.up_to(j_max)
+        assert table.artinian_end >= j_max and not cut.closed_off
+        koszul = koszul_betti(specht_ideal(shape, field_of(p)), j_max)
+        assert (cut.entries, cut.j_max, cut.closed_off) == (koszul.entries, j_max, koszul.closed_off)
 
 
 def _ranked_table(ideal, j_max):

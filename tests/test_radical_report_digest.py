@@ -29,8 +29,8 @@ from spechtideals import cli
 
 # sha256 of the rendered reports and exit codes the queries give
 _DIGESTS = {
-    "radical-grid": "a3416bab9110041226713172dfe67b80fe7f079542b9be1e9eccd2ee7c86f6ba",
-    "loci-replay": "22d58f5be32845f897f76bb098821193e3513b57f0732f878991da2959baf10c",
+    "radical-grid": "60a72fd7c3caa143c1e72ec6a321c785851d70728b655d039965f00f28e0ff4f",
+    "loci-replay": "d9c1043bc7c18289b875bea55ada37d6d51dbec197fee60740f4df4f59fdc929",
 }
 
 
