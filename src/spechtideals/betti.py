@@ -458,6 +458,15 @@ def artinian_draw(
     return None
 
 
+def _length_floor(shape: Partition) -> int:
+    """A lower bound on the length L of every Artinian image of I^Sp: the
+    image is generated in degree D = ``specht_poly_degree`` in lambda_1
+    variables, so every monomial of degree below D survives, and
+    L >= C(lambda_1 + D - 1, lambda_1)."""
+    lam1 = shape.parts[0]
+    return comb(lam1 + specht_poly_degree(shape) - 1, lam1)
+
+
 def _length_is_e_v(shape: Partition, h: list[int], e_v: int, fld: Field, trace: list[str]) -> bool:
     """Whether the length L = sum(h) equals e(V).  L >= e(R/I) >= e(V)
     always, so a smaller L raises a SelfCheckError; a larger one is traced."""
@@ -567,18 +576,25 @@ def radical_by_length(
       dimension bounds the rational one from above (the module
       docstring), so the rational quotient is Artinian too, of a length
       between e(V) and L, that is L, and its Hilbert function is h.
-    L < e(V) is impossible and raises a SelfCheckError.
+    L < e(V) is impossible and raises a SelfCheckError.  Where the floor of
+    ``_length_floor`` already exceeds e(V), as for (2,2,2) (21 > 20) and
+    (3,3,2) (84 > 70), no draw is tried.
     """
     trace = [] if trace is None else trace
     n, lam1 = shape.n, shape.parts[0]
     if list(_minimal_profiles(shape)) != [(lam1 + 1,) + (1,) * (n - lam1 - 1)]:
         trace.append("the minimal primes are not exactly the P_F with |F| = lambda_1 + 1")
         return None
+    e_v = comb(n, lam1 + 1)
+    floor = _length_floor(shape)
+    if floor > e_v:  # every draw that passes has L > e(V): none is tried
+        trace.append(f"length at least {floor} exceeds e(V) = {e_v}")
+        return None
     fld = draw_field(characteristic)
     drawn = artinian_draw(shape, fld, trace)
     if drawn is None:
         return None
-    h, e_v = drawn[2], comb(n, lam1 + 1)
+    h = drawn[2]
     if not _length_is_e_v(shape, h, e_v, fld, trace):
         return None
     return Certificate(

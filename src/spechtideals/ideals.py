@@ -8,7 +8,7 @@ are exact; components are computed lazily per degree, and every kind's
 (``_per_degree``), so a repeat call returns the same GradedBasis.  All
 elimination runs in :mod:`linalg`.
 
-Four structural accelerations, each backed by a standard fact:
+Five structural accelerations, each backed by a standard fact:
 
 * every Specht polynomial is a product of differences x_a - x_b, so a
   polynomial in the x_i - x_n, and x_n is regular on R/I^Sp in every
@@ -50,6 +50,22 @@ Four structural accelerations, each backed by a standard fact:
   in(I).  Since HF(S/I) = HF(S/in(I)) (Macaulay), ``quotient_dim`` counts
   the standard monomials past D.  A degree that adds no lead does not end
   the basis: (3,3)'s image gains none in degree 5 and one in degree 6.
+* columns whose values are known before any elimination are pinned, not
+  eliminated.  A monomial w of I_{d-1} has the reduced row {w: 1}, and
+  each x_i w lies in S_1 I_{d-1}, so I_d has the reduced row {x_i w: 1}:
+  ``GeneratedIdeal._echelon`` sets these rows directly (``Echelon.pin``),
+  forms no product of them, and drops their columns from every other
+  product and generator before inserting it.  Dropping a pinned column
+  subtracts a multiple of a row already in the span, so the span, and
+  with it every reduced row, lead and mu_d, is unchanged; this covers the
+  multiples of monomial generators, such as those of I_<m> in
+  I^Sp + I_<m>.  ``QuotientRing.mult_map`` reads each normal form off the
+  reduced rows of I_{d+1} instead of reducing the monomial.  In
+  ``IntersectionInk.component`` a monomial with at most n-k letters is its
+  own collapse fiber under some k-subset, hence has coefficient 0 in every
+  element, and only the other monomials are solved for.  And
+  ``equal_up_to_degree`` reads dim I^Sp_d = 0 below the generator degree
+  without building I^Sp.
 
 Collapse ranks of I_{n,k} take one path: ``IntersectionInk.dim`` ranks
 the reduced incidence rows by sparse exact elimination over the ideal's
@@ -57,12 +73,11 @@ field.  In degree d, P_F collapses two monomials together exactly when
 they agree outside F (the exponent sum on F is then d minus the rest), so
 ``_collapse_fibers`` groups monomials on their exponents outside each
 k-subset in one pass, and the reduced rank passes it only the monomials
-that no coordinate ideal pins.  The full n-variable incidence,
-``IntersectionInk._incidence``, serves only ``component``, whose null
-space the separating polynomial needs; ``contains`` sums coefficients
-over the same groups and serves only as a test oracle
-(``equal_up_to_degree`` needs no membership test: I^Sp lies in
-I_{n,lambda_1+1} by pigeonhole).
+that no coordinate ideal pins.  ``component``, whose null space the
+separating polynomial needs, passes it the monomials of all n variables
+with more than n-k letters; ``contains`` sums coefficients over the same
+groups and serves only as a test oracle (``equal_up_to_degree`` needs no
+membership test: I^Sp lies in I_{n,lambda_1+1} by pigeonhole).
 """
 
 from __future__ import annotations
@@ -91,7 +106,7 @@ from .poly import (
     monomials_of_degree,
     poly_to_row,
 )
-from .specht import SpechtSystem
+from .specht import SpechtSystem, specht_poly_degree
 from .tableaux import Partition
 from .varieties import SelfCheckError
 
@@ -219,38 +234,57 @@ class GeneratedIdeal(Ideal):
         leading monomial below u.  The span, hence the canonical reduced
         rows, is that of all the products.  So the rank the degree-d
         generators add to it is mu_d, which ``minimal_generators`` reads.
-        The pivots that are no x_i times a pivot of I_{d-1} are the
-        degree-d minimal generators of in(I); they join ``_leads``.
+        The products x_i w of the monomials w of I_{d-1} are pinned rows
+        {x_i w: 1}, and their columns are dropped from the other products
+        and from the generators (module docstring).  Only the rows that are
+        no monomial enter ``top`` and ``explained``, so the criterion pairs
+        those rows alone; the products below u that its argument uses
+        include pinned rows, which lie in the span.  ``explained`` loses no
+        skip: lm(b)/x_j is no monomial of I_{d-2} when b is no monomial,
+        since x_j times it would be a monomial of I_{d-1}, whose reduced
+        row is that monomial alone.  The pivots that are no x_i times a
+        pivot of I_{d-1} are the degree-d minimal generators of in(I);
+        they join ``_leads``.
         """
         ech = self._ech.get(d)
         if ech is not None:
             return ech
         ech = Echelon(self.field)
         top: dict[int, int] = {}  # empty when I_{d-1} = 0 and is not built
+        pinned: set[int] = set()
         if d > 0 and (self._by_degree and min(self._by_degree) < d):
             prev = self._echelon(d - 1)
             n = self.nvars
             tables = [_mult_table(n, d - 1, i) for i in range(n)]
+            # pinned columns (module docstring): the monomials w of I_{d-1}
+            # have the reduced rows {w: 1}, and their products are in I_d
+            pinned = {t[w] for w, row in prev.rows.items() if len(row) == 1 for t in tables}
+            ech.pin(pinned)
+            free = [(piv, row) for piv, row in prev.rows.items() if len(row) > 1]
             # leading column u -> largest i with u = x_i lm(b) (later i overwrite)
-            top = {t[piv]: i for i, t in enumerate(tables) for piv in prev.rows}
+            top = {t[piv]: i for i, t in enumerate(tables) for piv, _ in free}
             # explained[j]: the lm(b) with lm(b)/x_j a leading monomial of I_{d-2}
-            low = self._echelon(d - 2).rows if d >= 2 else {}
+            low = [w for w, row in self._echelon(d - 2).rows.items() if len(row) > 1] if d >= 2 else []
             explained = [
                 {_mult_table(n, d - 2, j)[w] for w in low} for j in range(n)
             ]
-            for piv, row in prev.rows.items():
+            for piv, row in free:
                 for i, table in enumerate(tables):
                     j = top[table[piv]]
                     if j != i and piv in explained[j]:
                         continue
-                    ech.insert({table[c]: v for c, v in row.items()})
+                    rest = {u: v for c, v in row.items() if (u := table[c]) not in pinned}
+                    if rest:
+                        ech.insert(rest)
         products = ech.rank
         for g in self._by_degree.get(d, ()):  # new generators at this degree
-            ech.insert(poly_to_row(g, d))
+            row = {c: v for c, v in poly_to_row(g, d).items() if c not in pinned}
+            if row:
+                ech.insert(row)
         self._mu[d] = ech.rank - products
         self._ech[d] = ech
         monos = monomials_of_degree(self.nvars, d)
-        self._leads += [monos[u] for u in ech.rows if u not in top]
+        self._leads += [monos[u] for u in ech.rows if u not in top and u not in pinned]
         return ech
 
     # -- the Groebner-basis certificate -----------------------------------
@@ -506,16 +540,6 @@ class IntersectionInk(Ideal):
         )
 
     # -- the collapse matrix -----------------------------------------------
-    def _incidence(self, d: int) -> list[dict]:
-        """One 0/1 row per collapse fiber of each k-subset F on the degree-d
-        monomials of all n variables.  A polynomial lies in (I_{n,k})_d
-        exactly when its coefficients sum to zero over every fiber, i.e. the
-        component is the null space of these rows."""
-        monos = enumerate(monomials_of_degree(self.nvars, d))
-        return [
-            dict.fromkeys(group, 1) for group in _collapse_fibers(self.nvars, self.k, monos)
-        ]
-
     def _reduced_rank(self, e: int) -> int:
         """Rank of J's degree-e incidence in n-1 variables, J the image of
         I_{n,k} under x_n -> 0.
@@ -547,10 +571,21 @@ class IntersectionInk(Ideal):
 
     @_per_degree
     def component(self, d: int) -> GradedBasis:
+        """The null space of the collapse fibers on the degree-d monomials.
+        A polynomial lies in (I_{n,k})_d exactly when its coefficients sum to
+        zero over every fiber.  A monomial with at most n-k letters avoids
+        some k-subset F and is its own fiber under F, so it has coefficient
+        0 in every element: only the monomials with more than n-k letters
+        are solved for, on the fibers restricted to them."""
+        n, k = self.nvars, self.k
+        monos = monomials_of_degree(n, d)
+        free = [j for j, mono in enumerate(monos) if mono.count(0) < k]
+        items = ((t, monos[j]) for t, j in enumerate(free))  # tagged by position in free
+        rows = [dict.fromkeys(group, 1) for group in _collapse_fibers(n, k, items)]
         ech = Echelon(self.field)
-        for v in null_space(self._incidence(d), self.field, dim_degree(self.nvars, d)):
-            ech.insert(v)
-        return GradedBasis.from_echelon(ech, self.nvars, d)
+        for v in null_space(rows, self.field, len(free)):
+            ech.insert({free[t]: c for t, c in v.items()})
+        return GradedBasis.from_echelon(ech, n, d)
 
 
 class SquarefreeDegreeIdeal(Ideal):
@@ -687,26 +722,32 @@ def equal_up_to_degree(shape: Partition, fld: Field, d_bound: int) -> EqualityRe
     """
     if d_bound < 0:
         raise ValueError("d_bound must be nonnegative")
-    specht = specht_ideal(shape, fld)
-    ink = IntersectionInk(shape.n, shape.parts[0] + 1, fld)
+    n, degree = shape.n, specht_poly_degree(shape)
+    ink = IntersectionInk(n, shape.parts[0] + 1, fld)
+    specht: SpechtIdeal | None = None  # built at the generator degree
     dims_l: list[int] = []
     dims_r: list[int] = []
     for d in range(d_bound + 1):
-        dims_l.append(specht.dim(d))
+        if d >= degree and specht is None:
+            specht = specht_ideal(shape, fld)
+        dims_l.append(0 if specht is None else specht.dim(d))
         dims_r.append(ink.dim(d))
         if dims_l[-1] != dims_r[-1]:
-            return EqualityReport(False, d, _separating_vector(ink, specht, d), dims_l, dims_r)
+            # below the generator degree I^Sp_d is 0, and its empty component
+            # still goes through the check that a separating vector exists
+            small = GradedBasis(n, d, fld, {}) if specht is None else specht.component(d)
+            separating = _separating_vector(ink.component(d), small)
+            return EqualityReport(False, d, separating, dims_l, dims_r)
     return EqualityReport(True, None, None, dims_l, dims_r)
 
 
-def _separating_vector(bigger: Ideal, smaller: Ideal, d: int) -> Polynomial:
-    """A basis vector of bigger's degree-d component outside smaller's; the
-    caller asks only when one must exist."""
-    small_basis = smaller.component(d)
-    for v in bigger.component(d).vectors():
-        if not small_basis.contains(v):
+def _separating_vector(bigger: GradedBasis, smaller: GradedBasis) -> Polynomial:
+    """A basis vector of ``bigger`` outside ``smaller``, two components of
+    one degree; the caller asks only when one must exist."""
+    for v in bigger.vectors():
+        if not smaller.contains(v):
             return v
-    raise SelfCheckError(f"no degree-{d} vector separates components that differ")
+    raise SelfCheckError(f"no degree-{bigger.degree} vector separates components that differ")
 
 
 # ---------------------------------------------------------------------------
@@ -750,14 +791,27 @@ class QuotientRing:
         return self.reduce_row(poly_to_row(p.map_field(self.field), d), d)
 
     def mult_map(self, i: int, d: int) -> list[dict]:
-        """x_i as a map Q_d -> Q_{d+1}, one output row per basis element."""
+        """x_i as a map Q_d -> Q_{d+1}, one output row per basis element.
+
+        The normal forms are read off the reduced rows of I_{d+1}: a
+        non-pivot monomial is its own normal form, and a pivot's is minus
+        its monic row without the pivot entry, whose other columns are all
+        non-pivots."""
         key = (i, d)
         maps = self._mult.get(key)
         if maps is None:
             table = _mult_table(self.nvars, d, i)
             cols = self.basis_columns(d)
             self.basis_columns(d + 1)
-            maps = [self.reduce_row({table[j]: 1}, d + 1) for j in cols]
+            pos, rows, neg = self._pos[d + 1], self.ideal.component(d + 1).rows, self.field.neg
+            maps = []
+            for j in cols:
+                u = table[j]
+                row = rows.get(u)
+                if row is None:
+                    maps.append({pos[u]: 1})
+                else:
+                    maps.append({pos[c]: neg(v) for c, v in row.items() if c != u})
             self._mult[key] = maps
         return maps
 

@@ -196,6 +196,14 @@ class Echelon:
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
+    def pin(self, columns) -> None:
+        """Set the reduced row {c: 1} for each column c, without elimination.
+        The caller vouches that each e_c lies in the span and that no stored
+        row holds c; a later insert then reduces c away like any pivot."""
+        rows = self.rows
+        for c in columns:
+            rows[c] = {c: 1}
+
     def insert(self, row: dict) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
         r = self.reduce(row)
@@ -278,10 +286,11 @@ def null_space(rows, field: Field, ncols: int) -> list[dict]:
         ech.insert(row)
     monic = ech.monic_rows()
     kernel = {f: {f: 1} for f in range(ncols) if f not in monic}
+    neg = field.neg
     for piv, row in monic.items():
         for f, v in row.items():
             if f != piv:
-                kernel[f][piv] = -v
+                kernel[f][piv] = neg(v)
     return list(kernel.values())
 
 

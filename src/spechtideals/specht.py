@@ -55,8 +55,11 @@ def specht_poly(t: Tableau, fld: Field = QQ) -> Polynomial:
 
 
 def specht_poly_degree(shape: Partition) -> int:
-    """Common degree of all Specht polynomials of the shape."""
-    return sum(c * (c - 1) // 2 for c in shape.conjugate())
+    """Common degree of all Specht polynomials of the shape: one factor per
+    pair of cells in a column, sum C(lambda'_j, 2), which equals
+    n(lambda) = sum (i - 1) lambda_i, read off the rows without building
+    the conjugate."""
+    return sum(i * part for i, part in enumerate(shape.parts))
 
 
 def supp(p: Polynomial) -> set:

@@ -901,6 +901,30 @@ class TestDerivedRanks:
         assert mu[3] == 2  # y^3 and x^2 z + y^2 z; z (x z) is redundant
         assert sum(mu) == 5
 
+    @pytest.mark.parametrize("fld", [QQ, field_of(2), F], ids=repr)
+    def test_monomial_generator_in_the_products(self, fld):
+        # x1^3 lies in S_1 I_2 although no lower-degree monomial divides it,
+        # so it adds no minimal generator, while x1 x2 is pinned in degree 3
+        x1, x2 = (Polynomial.variable(2, i, fld) for i in range(2))
+        gens = [x1 * x1 - x1 * x2, x1 * x2, x1 ** 3]
+        ideal = GeneratedIdeal(2, fld, gens)
+        mu = _brute_minimal_generators(gens, 2, fld, 5)
+        assert [ideal.minimal_generators(d) for d in range(6)] == mu
+        assert ideal.minimal_generators(3) == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    def test_one_variable_artinian_tables(self, k, p):
+        # (1^k) has lambda_1 = 1: its Artinian image lies in one variable,
+        # every generator is a multiple of y^D, D = C(k, 2), the echelons
+        # above D are all pinned, and the table is that of K[y]/(y^D)
+        shape, degree = Partition((1,) * k), comb(k, 2)
+        _, art, h = betti.artinian_draw(shape, artinian_field(shape, p), [])
+        assert art.nvars == 1 and all(len(g.terms) == 1 for g in art.gens)
+        assert h == [1] * degree
+        table = koszul_betti(art, degree + 2)
+        assert table.entries == _ranked_table(art, degree + 2) == {(0, 0): 1, (1, degree): 1}
+
     @pytest.mark.parametrize("p", [2, 3, 32003])
     def test_two_variables_build_no_matrix(self, monkeypatch, p):
         # (2,2) reduces to two variables, where d_1 and d_2 are every map

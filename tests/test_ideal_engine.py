@@ -1,12 +1,14 @@
 """Ideal components, Hilbert functions, equality, specialization, socle."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from spechtideals import betti
+from spechtideals import betti, cli, ideals
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import (
     GeneratedIdeal,
@@ -29,7 +31,7 @@ from spechtideals.ideals import (
 )
 from spechtideals.linalg import Echelon, GradedBasis, intersect_spans, null_space
 from spechtideals.poly import Polynomial, dim_degree, monomials_of_degree, poly_to_row
-from spechtideals.specht import AA1FrJ, TwoRowFrJ
+from spechtideals.specht import AA1FrJ, SpechtSystem, TwoRowFrJ
 from spechtideals.tableaux import Partition, enumerate_partitions
 
 
@@ -643,3 +645,208 @@ class TestSumIdeal:
         g = GeneratedIdeal(3, QQ, p.generator_list())
         for d in range(4):
             assert g.component(d) == p.component(d)
+
+
+# ---------------------------------------------------------------------------
+# Forced columns: pinned multiples of monomial generators, normal forms read
+# off reduced rows, the support cut of I_{n,k}, and no I^Sp below its degree
+
+
+def _monomial_multiples(ideal, d):
+    """The degree-d columns that a monomial generator of lower degree divides."""
+    gens = [m for g in ideal.gens if len(g.terms) == 1 for m in g.terms if sum(m) < d]
+    return {
+        j
+        for j, mono in enumerate(monomials_of_degree(ideal.nvars, d))
+        if any(all(a >= b for a, b in zip(mono, g)) for g in gens)
+    }
+
+
+def _product_ranks(ideal, d_max):
+    """mu_d for d <= d_max from echelons of all the products x_i b: the
+    rank the degree-d generators add to them."""
+    echs, mu = _all_products(ideal, d_max)[0], []
+    for d in range(d_max + 1):
+        ech = Echelon(ideal.field)
+        if d:
+            tables = [_mult_table(ideal.nvars, d - 1, i) for i in range(ideal.nvars)]
+            for row in echs[d - 1].rows.values():
+                for t in tables:
+                    ech.insert({t[c]: v for c, v in row.items()})
+        mu.append(echs[d].rank - ech.rank)
+    return mu
+
+
+_PROBE_SUMS = [(n - 2, 2) for n in range(4, 8)] + [(n - 3, 3) for n in range(6, 8)]
+
+
+class TestPinnedColumns:
+    """``GeneratedIdeal._echelon`` sets the multiples of lower-degree
+    monomial generators as rows {u: 1} and drops their columns from every
+    row it inserts; the echelons must be those of every product, and
+    mu_d the rank the degree-d generators add beyond the products."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    @pytest.mark.parametrize("parts", _PROBE_SUMS, ids=str)
+    def test_socle_probe_sum_matches_generic(self, parts, p, m):
+        shape, fld = Partition(parts), field_of(p)
+        flat = sum_ideal(specht_ideal(shape, fld), SquarefreeDegreeIdeal(shape.n, m, fld))
+        generic = SumIdealGeneric([specht_ideal(shape, fld), SquarefreeDegreeIdeal(shape.n, m, fld)])
+        for d in range(7):
+            assert flat.component(d) == generic.component(d), d
+
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 2), (4, 2), (3, 3)])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_pinned_columns_reach_no_insert(self, monkeypatch, parts, p):
+        shape, fld = Partition(parts), field_of(p)
+        ideal = sum_ideal(specht_ideal(shape, fld), SquarefreeDegreeIdeal(shape.n, 3, fld))
+        inserted = []
+        real = Echelon.insert
+        monkeypatch.setattr(Echelon, "insert", lambda self, row: inserted.append(dict(row)) or real(self, row))
+        for d in range(7):
+            inserted.clear()
+            ech = ideal._echelon(d)  # the lower degrees are built already
+            pinned = _monomial_multiples(ideal, d)
+            assert all(ech.rows[u] == {u: 1} for u in pinned), d
+            assert all(row and not pinned & row.keys() for row in inserted), d
+            assert bool(pinned) == (d > 3), d
+
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    def test_random_ideals_with_monomial_generators(self, p):
+        fld = field_of(p)
+        for seed in range(30):
+            rng = random.Random(500 * p + seed)
+            base = _random_ideal(rng, fld)
+            n = base.nvars
+            monos = [rng.choice(monomials_of_degree(n, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+            ideal = GeneratedIdeal(n, fld, list(base.gens) + [Polynomial(n, fld, {m: 1}) for m in monos])
+            _assert_matches_all_products(ideal, 5)
+            assert [ideal.minimal_generators(d) for d in range(6)] == _product_ranks(ideal, 5), seed
+
+
+def _artinian_quotients():
+    """Every Artinian image of I^Sp with n <= 6, over QQ, GF(2), GF(3^5) and
+    GF(32003): integer forms drawn over GF(32003) serve QQ, GF(2) and
+    GF(32003), and GF(3^5) draws its own."""
+    out = []
+    for n in range(2, 7):
+        for shape in enumerate_partitions(n):
+            if shape.is_trivial:
+                continue
+            for draw in (field_of(32003), field_of(3, 5)):
+                drawn = betti.artinian_draw(shape, draw, [])
+                if drawn is None:
+                    continue
+                images, _, h = drawn
+                targets = [draw] if draw.degree > 1 else [QQ, field_of(2), draw]
+                for fld in targets:
+                    out.append((shape, fld, betti.artinian_ideal(shape, images, fld), len(h)))
+    return out
+
+
+def _assert_maps_are_normal_forms(ideal, top):
+    q = ideal.quotient_ring()
+    for t in range(top + 1):
+        cols = q.basis_columns(t)
+        for i in range(ideal.nvars):
+            table = _mult_table(ideal.nvars, t, i)
+            want = [q.reduce_row({table[j]: 1}, t + 1) for j in cols]
+            assert q.mult_map(i, t) == want, (t, i)
+
+
+class TestMultMapNormalForms:
+    """``QuotientRing.mult_map`` reads each normal form off the reduced rows
+    of I_{d+1}; it must equal ``reduce_row`` of the monomial."""
+
+    def test_artinian_quotients(self):
+        cases = _artinian_quotients()
+        assert len(cases) > 40
+        for shape, fld, ideal, top in cases:
+            _assert_maps_are_normal_forms(ideal, top)
+
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 2), (4, 2), (3, 3)])
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_socle_probe_ideals(self, parts, p):
+        shape, fld = Partition(parts), field_of(p)
+        ideal = sum_ideal(specht_ideal(shape, fld), SquarefreeDegreeIdeal(shape.n, 3, fld))
+        _assert_maps_are_normal_forms(ideal, 4)
+
+
+def _full_incidence(ink, d):
+    """Reference for ``IntersectionInk.component``: the null space of one 0/1
+    row per collapse fiber of each k-subset on every degree-d monomial of
+    all n variables, no column pinned.  The fibers are the monomials that
+    agree outside F."""
+    monos = monomials_of_degree(ink.nvars, d)
+    rows = []
+    for F in combinations(range(ink.nvars), ink.k):
+        fibers = {}
+        for j, mono in enumerate(monos):
+            fibers.setdefault(tuple(e for i, e in enumerate(mono) if i not in F), []).append(j)
+        rows += [dict.fromkeys(group, 1) for group in fibers.values()]
+    ech = Echelon(ink.field)
+    for v in null_space(rows, ink.field, len(monos)):
+        ech.insert(v)
+    return GradedBasis.from_echelon(ech, ink.nvars, d)
+
+
+class TestIntersectionSupportCut:
+    """``IntersectionInk.component`` solves only on the monomials with more
+    than n - k letters; the rest have coefficient 0 in every element."""
+
+    @pytest.mark.parametrize("fld", [QQ, field_of(2), field_of(3), field_of(2, 2)], ids=repr)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_component_equals_full_incidence(self, fld, n):
+        for k in range(2, n + 1):
+            ink = IntersectionInk(n, k, fld)
+            for d in range(4 if n == 7 else 5):
+                assert ink.component(d).rows == _full_incidence(ink, d).rows, (k, d)
+                assert ink.component(d).dimension == ink.dim(d), (k, d)
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (6, 4), (6, 2)])
+    def test_only_monomials_past_n_minus_k_letters_are_solved(self, monkeypatch, n, k):
+        seen = []
+        real = ideals.null_space
+        monkeypatch.setattr(ideals, "null_space", lambda rows, fld, ncols: seen.append(ncols) or real(rows, fld, ncols))
+        ink = IntersectionInk(n, k, QQ)
+        for d in range(5):
+            ink.component(d)
+        free = [sum(1 for mono in monomials_of_degree(n, d) if n - mono.count(0) > n - k) for d in range(5)]
+        assert seen == free
+
+
+class TestNoSpechtBelowItsDegree:
+    """``equal_up_to_degree`` reads dim I^Sp_d as 0 below the generator
+    degree and builds the Specht ideal only when it reaches that degree."""
+
+    @pytest.mark.parametrize("parts, bound", [((3, 2, 1), 7), ((4, 2, 1), 6)])
+    @pytest.mark.parametrize("char", ["0", "2", "3"])
+    def test_non_radical_shapes_build_no_specht_system(self, monkeypatch, parts, bound, char):
+        def no_build(*args):
+            raise AssertionError("SpechtSystem.build was called")
+
+        monkeypatch.setattr(SpechtSystem, "build", no_build)
+        shape = ",".join(map(str, parts))
+        report, code = cli.run(["radical-check", "--shape", shape, "--max-deg", str(bound), "--char", char])
+        verdicts = {v["name"]: v["value"] for v in report.to_jsonable()["verdicts"]}
+        assert code == 1 and verdicts["first_disagreeing_degree"] == 3
+
+    def test_reports_unchanged(self):
+        # sha256 of the rendered reports, as the bounded comparison gave them
+        # when it built I^Sp from degree 0
+        out = []
+        for shape, bound in [("3,2,1", "7"), ("4,2,1", "6")]:
+            for char in "023":
+                argv = ["radical-check", "--shape", shape, "--max-deg", bound, "--char", char]
+                report, code = cli.run(argv)
+                out.append([argv, code, report.render(report.config.output_format)])
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        assert digest == "61e5fc070cede41d57693bdedf965966b8934ef9d2c0aa4ed57eeea5f1c3d712"
+
+    def test_equal_shapes_build_it_at_the_generator_degree(self, monkeypatch):
+        built = []
+        real = SpechtSystem.build
+        monkeypatch.setattr(SpechtSystem, "build", lambda shape, fld: built.append(shape) or real(shape, fld))
+        rep = equal_up_to_degree(Partition((3, 3)), QQ, 5)
+        assert rep.equal and rep.dims_left[:3] == [0, 0, 0] and built == [Partition((3, 3))]

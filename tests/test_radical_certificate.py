@@ -15,9 +15,10 @@ import pytest
 
 from spechtideals import betti, cli
 from spechtideals.betti import radical_by_length
-from spechtideals.fields import field_of
+from spechtideals.fields import draw_field, field_of
 from spechtideals.ideals import equal_up_to_degree
-from spechtideals.tableaux import Partition
+from spechtideals.tableaux import Partition, enumerate_partitions
+from spechtideals.varieties import _minimal_profiles
 
 SHAPES = [(a, b) for n in range(2, 9) for b in range(1, n // 2 + 1) for a in [n - b]]
 SHAPES += [(a, a, 1) for a in range(1, 4)]
@@ -74,13 +75,41 @@ def test_other_profiles_draw_nothing(monkeypatch, parts, char):
     assert trace == ["the minimal primes are not exactly the P_F with |F| = lambda_1 + 1"]
 
 
-@pytest.mark.parametrize("parts, length, e_v", [((2, 2, 2), 23, 20), ((2, 2, 2, 1), 45, 35)])
-def test_one_profile_but_not_cm(parts, length, e_v):
+@pytest.mark.parametrize("parts, floor, e_v", [((2, 2, 2), 21, 20), ((2, 2, 2, 1), 45, 35)])
+def test_one_profile_but_not_cm(monkeypatch, parts, floor, e_v):
     # (a,...,a) shapes have the one profile too, but R/I is not CM: the
-    # length decides, and the bounded path runs
+    # length floor C(lambda_1 + D - 1, lambda_1) already exceeds e(V), so no
+    # form is drawn, and the bounded path runs
+    monkeypatch.setattr(betti, "artinian_draw", lambda *a: pytest.fail("drew forms"))
     trace = []
     assert radical_by_length(Partition(parts), 0, trace) is None
-    assert trace == [f"length {length} over GF(32003) exceeds e(V) = {e_v}"]
+    assert trace == [f"length at least {floor} exceeds e(V) = {e_v}"]
+
+
+def test_length_floor_refuses_exactly_nine_shapes():
+    # among the shapes with n <= 10 that pass the profile gate, the floor
+    # exceeds e(V) for these nine; every other one is drawn for
+    refused = []
+    for n in range(2, 11):
+        for shape in enumerate_partitions(n):
+            lam1 = shape.parts[0]
+            if shape.is_trivial or list(_minimal_profiles(shape)) != [(lam1 + 1,) + (1,) * (n - lam1 - 1)]:
+                continue
+            if betti._length_floor(shape) > comb(n, lam1 + 1):
+                refused.append(shape.parts)
+    assert refused == [
+        (2, 2, 2), (2, 2, 2, 1), (3, 3, 2), (2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 1),
+        (4, 4, 2), (3, 3, 3, 1), (2, 2, 2, 2, 2),
+    ]
+
+
+def test_length_floor_is_attained():
+    # the floor is a true lower bound: (2,2,2,1)'s accepted draw has L = 45,
+    # the floor itself, and (2,2,2)'s has L = 23 >= 21
+    for parts, length in [((2, 2, 2), 23), ((2, 2, 2, 1), 45)]:
+        shape = Partition(parts)
+        drawn = betti.artinian_draw(shape, draw_field(0), [])
+        assert sum(drawn[2]) == length >= betti._length_floor(shape)
 
 
 def test_not_radical_keeps_the_separating_polynomial():
