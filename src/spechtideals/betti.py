@@ -91,8 +91,8 @@ from itertools import combinations
 from math import comb
 
 from .fields import PROXY_PRIMES, Field, QQ, draw_field, field_of
-from .ideals import GeneratedIdeal, QuotientRing, hilbert_function, specht_ideal
-from .linalg import add_scaled, add_scaled_table, rank_dense_mod_p, rank_sparse
+from .ideals import GeneratedIdeal, hilbert_function, specht_ideal
+from .linalg import rank_dense_mod_p, rank_sparse
 from .poly import Polynomial
 from .specht import column_pairs, specht_poly_degree
 from .tableaux import Partition, enumerate_standard_tableaux
@@ -256,7 +256,7 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
     start = ideal.translation_reduction() or ideal
     work, qdim = regular_reduction(start, j_max)
     m = work.nvars
-    q = QuotientRing(work)
+    q = work.quotient_ring()
 
     # an Artinian quotient (the Artinian reduction, or an (n-1, 1) hook)
     # has Koszul matrices with dense rows.  Over GF(p) those past
@@ -266,13 +266,7 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
     fld = work.field
     p = fld.characteristic
     dense = p > 0 and fld.degree == 1 and qdim[-1] == 0
-    # the row kernel and what it computes in, picked once: add_scaled mod p
-    # (0 over QQ), or the log-table kernel over GF(p^k), where -1 is the
-    # element code fld.neg(1)
-    if fld.degree > 1:
-        add, over, minus = add_scaled_table, fld, fld.neg(1)
-    else:
-        add, over, minus = add_scaled, p, -1
+    add, minus = fld.add_scaled, fld.neg(1)
 
     def chain_dim(i: int, j: int) -> int:
         t = j - i
@@ -306,7 +300,7 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
             for src in range(qdim[t]):
                 row: dict = {}
                 for sign, s_idx, s in smaller:
-                    add(row, sign, maps[s][src], over, s_idx * tgt_block)
+                    add(row, sign, maps[s][src], s_idx * tgt_block)
                 yield row
 
     ranks: dict[tuple[int, int], int] = {}
@@ -495,13 +489,12 @@ def artinian_reduction(
     forms were needed), else None; and the values measured over the first
     field (length, multiplicity, h_vector) for the certificate.  The
     fields are the proxy primes in characteristic 0 and the one field of
-    ``artinian_field`` in characteristic p; GF(p^k) tables are ranked on
-    the log-table kernel.  e(V) comes from ``varieties.height_and_purity``,
-    which lists nothing, so the column-cap gate fires before any Hilbert
-    function is computed.  The
-    forms are drawn over the first field (``artinian_draw``), as integers
-    below its order, and that field settles L = e(V) before any other field
-    is tried, so a shape that is not CM costs one Hilbert function per draw.
+    ``artinian_field`` in characteristic p.  e(V) comes from
+    ``varieties.height_and_purity``, which lists nothing, so the column-cap
+    gate fires before any Hilbert function is computed.  The forms are
+    drawn over the first field (``artinian_draw``), as integers below its
+    order, and that field settles L = e(V) before any other field is tried,
+    so a shape that is not CM costs one Hilbert function per draw.
     """
     trace = [] if trace is None else trace
     n, lam1 = shape.n, shape.parts[0]

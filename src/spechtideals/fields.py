@@ -14,6 +14,10 @@ of GF(p), and x, a generator of the multiplicative group, has code p.
 Multiplication adds logarithms to the base x.  Addition is XOR when p = 2;
 otherwise a + b = x^la (1 + x^(lb-la)) reads the logarithm of 1 + x^m off
 a Zech table.
+
+Each field also owns the sparse-row update ``add_scaled`` (row += c * src
+on ``{column: coefficient}`` dicts) that every sparse elimination calls,
+so no caller picks a kernel for its field.
 """
 
 from __future__ import annotations
@@ -83,15 +87,6 @@ class Field:
         """The number of elements, p^k; 0 for the rationals."""
         return self.characteristic**self.degree
 
-    @property
-    def modulus(self) -> int:
-        """The int modulus that the prime-field kernels (``linalg.add_scaled``,
-        ``linalg.rank_dense_mod_p``) take: p over GF(p), 0 over the
-        rationals.  GF(p^k) has none, and is refused here."""
-        if self.degree > 1:
-            raise ValueError(f"{self} is not a prime field: no int modulus computes in it")
-        return self.characteristic
-
     # -- element constructors ------------------------------------------
     @property
     def zero(self):
@@ -135,6 +130,22 @@ class Field:
         if a % p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, p - 2, p)
+
+    def add_scaled(self, row: dict, c, src: dict, offset: int = 0) -> None:
+        """In place ``row += c * src``, src's columns shifted by ``offset``.
+
+        Entries are reduced mod p over GF(p) and dropped when they cancel.
+        """
+        p = self.characteristic
+        for k, v in src.items():
+            k += offset
+            nv = row.get(k, 0) + c * v
+            if p:
+                nv %= p
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
 
     def __eq__(self, other):
         return other is self or (
@@ -243,6 +254,34 @@ class ExtensionField(Field):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return self.exp[self.order - 1 - self.log[a]]
+
+    def add_scaled(self, row: dict, c: int, src: dict, offset: int = 0) -> None:
+        """``Field.add_scaled`` on the log tables; c is nonzero."""
+        exp, log = self.exp, self.log
+        lc = log[c]
+        if self.characteristic == 2:
+            for k, v in src.items():
+                k += offset
+                nv = row.get(k, 0) ^ exp[lc + log[v]]
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+            return
+        zech, n = self.zech, self.order - 1
+        for k, v in src.items():
+            k += offset
+            lt = lc + log[v]  # the term c v = x^lt
+            a = row.get(k)
+            if a is None:
+                row[k] = exp[lt]
+                continue
+            la = log[a]
+            z = zech[(lt - la) % n]  # a + x^lt = x^la (1 + x^(lt - la))
+            if z < 0:
+                del row[k]
+            else:
+                row[k] = exp[la + z]
 
 
 _CACHE: dict[tuple[int, int], Field] = {}

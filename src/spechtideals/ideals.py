@@ -83,7 +83,7 @@ membership test: I^Sp lies in I_{n,lambda_1+1} by pigeonhole).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import combinations
 from math import comb
 from operator import itemgetter, le
@@ -92,7 +92,6 @@ from .fields import Field, QQ
 from .linalg import (
     Echelon,
     GradedBasis,
-    add_scaled,
     echelon_span,
     null_space,
     rank_sparse,
@@ -201,7 +200,7 @@ class GeneratedIdeal(Ideal):
         self._qdim: dict[int, int] = {}
         # the Groebner-basis certificate (module docstring)
         self._leads: list[tuple] = []  # minimal generators of in(I), by degree
-        self._open: list[tuple] = []  # pairs (i, j, lcm) not yet settled
+        self._open: list[tuple] = []  # pairs (i, j, lcm, deg lcm) not yet settled
         self._settled: list[set[int]] = []  # _settled[i]: leads settled with lead i
         self._tried = max(self._by_degree, default=0) - 1
         self._certified: int | None = None
@@ -302,27 +301,34 @@ class GeneratedIdeal(Ideal):
 
     def _settle(self, d: int, count: int) -> bool:
         """Whether every pair of the first ``count`` leads (those of degree
-        <= d) is settled: its lcm has degree <= d, the two are coprime, or a
-        lead divides the lcm and its pairs with both are settled.  Settled
-        pairs stay settled; the open ones are kept between calls."""
-        leads, settled = self._leads, self._settled
+        <= d) is settled: the two are coprime, its lcm has degree <= d, or
+        a lead divides the lcm and its pairs with both are settled.  A
+        pair's lcm degree and coprimality are computed once, when it opens:
+        a coprime pair, or one whose lcm has degree <= d, is settled at
+        once, and one left open keeps its lcm and the lcm's degree.
+        Settled pairs stay settled; the open ones are kept between calls."""
+        leads, settled, pending = self._leads, self._settled, self._open
+        degrees = [sum(u) for u in leads[:count]]
         for j in range(len(settled), count):
             settled.append(set())
-            self._open += [(i, j, tuple(map(max, leads[i], leads[j]))) for i in range(j)]
-        pending, changed = self._open, True
+            for i in range(j):
+                deg = sum(map(max, leads[i], leads[j]))
+                if deg <= d or deg == degrees[i] + degrees[j]:  # the latter: coprime
+                    settled[i].add(j)
+                    settled[j].add(i)
+                else:
+                    pending.append((i, j, tuple(map(max, leads[i], leads[j])), deg))
+        changed = True
         while pending and changed:
             rest, changed = [], False
-            for i, j, lcm in pending:
-                if (
-                    sum(lcm) <= d
-                    or sum(lcm) == sum(leads[i]) + sum(leads[j])  # coprime
-                    or any(all(map(le, leads[k], lcm)) for k in settled[i] & settled[j])
-                ):
+            for pair in pending:
+                i, j, lcm, deg = pair
+                if deg <= d or any(all(map(le, leads[k], lcm)) for k in settled[i] & settled[j]):
                     settled[i].add(j)
                     settled[j].add(i)
                     changed = True
                 else:
-                    rest.append((i, j, lcm))
+                    rest.append(pair)
             pending = rest
         self._open = pending
         return not pending
@@ -527,15 +533,12 @@ class IntersectionInk(Ideal):
     # -- membership -------------------------------------------------------
     def contains(self, p: Polynomial) -> bool:
         """p lies in every P_F exactly when its coefficients sum to zero on
-        each collapse fiber of each k-subset F.  The sums are taken as
-        integers, so GF(p^k) is refused."""
+        each collapse fiber of each k-subset F."""
         p.homogeneous_degree()  # the fibers below are those of one degree
         fld = self.field
-        if fld.degree > 1:
-            raise ValueError(f"{fld} is not a prime field: fiber sums are integer sums")
         terms = [(fld.of(c), m) for m, c in p.terms.items()]
         return all(
-            fld.of(sum(group)) == 0
+            reduce(fld.add, group, 0) == 0
             for group in _collapse_fibers(self.nvars, self.k, terms)
         )
 
@@ -846,8 +849,10 @@ def socle(ideal: Ideal, d: int) -> GradedBasis:
                 stacked[i * tgt_dim + pos] = c
         rows.append(stacked)
     _, kernel = span_and_kernel(rows, ideal.field, ideal.nvars * tgt_dim)
-    polys = [q.poly_from_coords(combo, d) for combo in kernel]
-    return echelon_span(polys, d, field=ideal.field, nvars=ideal.nvars)
+    ech = Echelon(ideal.field)
+    for combo in kernel:
+        ech.insert({src[t]: c for t, c in combo.items()})
+    return GradedBasis.from_echelon(ech, ideal.nvars, d)
 
 
 @dataclass
@@ -872,12 +877,13 @@ def mult_injective(form: Polynomial, ideal: Ideal, d: int) -> MultMapReport:
     q = ideal.quotient_ring()
     src = q.basis_columns(d)
     fld = ideal.field
-    coeffs = {m.index(1): fld.of(c) for m, c in form.terms.items()}
+    # a zero coefficient adds nothing; the log tables need c != 0
+    coeffs = {m.index(1): v for m, c in form.terms.items() if (v := fld.of(c))}
     rows = []
     for t in range(len(src)):
         row: dict = {}
         for i, c in coeffs.items():
-            add_scaled(row, c, q.mult_map(i, d)[t], fld.modulus)
+            fld.add_scaled(row, c, q.mult_map(i, d)[t])
         rows.append(row)
     rank = rank_sparse(rows, fld)
     dim_src = len(src)

@@ -2,24 +2,20 @@
 
 This is the package's one linear-algebra core: the exact eliminations of
 ``ideals`` and ``betti`` all run on :class:`Echelon`, and every sparse-row
-update, elimination in :class:`Echelon` included, goes through
-:func:`add_scaled`, or through :func:`add_scaled_table` over GF(p^k).
+update, elimination in :class:`Echelon` included, goes through the
+field's ``add_scaled`` (:mod:`fields`), whatever the field.
 
-Rows are sparse ``{column: coefficient}`` dicts.  Over GF(p) the engine
-does ordinary monic elimination; over the rationals it is fraction-free
-(Bareiss-style cross-multiplication with content stripping), so all
-intermediate entries are integers.  Over GF(p^k), k > 1, it is monic
-elimination on the field's log tables; an Echelon picks that kernel once,
-when it is built, and so do ``betti.koszul_betti``'s rows.  The kernels
-that take an int modulus, ``add_scaled`` and ``rank_dense_mod_p``, compute
-in prime fields only, and their other callers read the modulus from
-``Field.modulus``, which GF(p^k) refuses.  Reduced form is maintained
-incrementally, which keeps stored rows supported on their pivot plus the
-current non-pivot columns only.  Normal forms modulo
+Rows are sparse ``{column: coefficient}`` dicts.  Over a finite field,
+GF(p) or GF(p^k), the engine does ordinary monic elimination; over the
+rationals it is fraction-free (Bareiss-style cross-multiplication with
+content stripping), so all intermediate entries are integers.  Reduced
+form is maintained incrementally, which keeps stored rows supported on
+their pivot plus the current non-pivot columns only.  Normal forms modulo
 a reduced basis go through :meth:`Echelon.reduce_exact`.  Ranks come from
 :func:`rank_sparse` over any field, or from the vectorized
-:func:`rank_dense_mod_p` over GF(p), which imports numpy on its first call,
-not with the package, and pays for that only on large matrices.
+:func:`rank_dense_mod_p` over GF(p) alone (numpy computes in prime
+fields only), which imports numpy on its first call, not with the
+package, and pays for that only on large matrices.
 """
 
 from __future__ import annotations
@@ -27,55 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import ExtensionField, Field, QQ
+from .fields import Field, QQ
 from .poly import Polynomial, monomials_of_degree, poly_to_row
-
-
-def add_scaled(row: dict, c, src: dict, p: int, offset: int = 0) -> None:
-    """In place ``row += c * src``, src's columns shifted by ``offset``.
-
-    Entries are reduced mod p when p > 0 and dropped when they cancel.
-    """
-    for k, v in src.items():
-        k += offset
-        nv = row.get(k, 0) + c * v
-        if p:
-            nv %= p
-        if nv:
-            row[k] = nv
-        else:
-            row.pop(k, None)
-
-
-def add_scaled_table(row: dict, c: int, src: dict, fld: ExtensionField, offset: int = 0) -> None:
-    """In place ``row += c * src`` over GF(p^k), on the field's log tables,
-    src's columns shifted by ``offset``; c is nonzero.  Entries that cancel
-    are dropped."""
-    exp, log = fld.exp, fld.log
-    lc = log[c]
-    if fld.characteristic == 2:
-        for k, v in src.items():
-            k += offset
-            nv = row.get(k, 0) ^ exp[lc + log[v]]
-            if nv:
-                row[k] = nv
-            else:
-                del row[k]
-        return
-    zech, n = fld.zech, fld.order - 1
-    for k, v in src.items():
-        k += offset
-        lt = lc + log[v]  # the term c v = x^lt
-        a = row.get(k)
-        if a is None:
-            row[k] = exp[lt]
-            continue
-        la = log[a]
-        z = zech[(lt - la) % n]  # a + x^lt = x^la (1 + x^(lt - la))
-        if z < 0:
-            del row[k]
-        else:
-            row[k] = exp[la + z]
 
 
 def _strip_content(row: dict) -> None:
@@ -105,9 +54,7 @@ class Echelon:
         self.rows: dict[int, dict] = {}
         self.touch: dict[int, set] = {}
         self.kernel_rows: list[dict] = []
-        if field.degree > 1:  # GF(p^k): the log-table kernel
-            self._eliminate = self._eliminate_table
-            self._normalize = self._normalize_table
+        self._add, self._neg = field.add_scaled, field.neg  # bound once: run per elimination
 
     @classmethod
     def of_reduced(cls, field: Field, rows: dict[int, dict]) -> "Echelon":
@@ -126,41 +73,30 @@ class Echelon:
         """Remove column c from row using the stored pivot row, in place."""
         prow = self.rows[c]
         a = row[c]
-        if self.p:  # stored pivots are 1 over GF(p)
-            add_scaled(row, -a, prow, self.p)
+        if self.p:  # stored pivots are 1 over a finite field
+            self._add(row, self._neg(a), prow)
             return
         g = gcd(a, prow[c])
         b = prow[c] // g
         if b != 1:
             for k in row:
                 row[k] *= b
-        add_scaled(row, -(a // g), prow, 0)  # the pivot entry cancels
+        self._add(row, -(a // g), prow)  # the pivot entry cancels
         _strip_content(row)
 
     def _normalize(self, row: dict, pivot: int) -> None:
-        p = self.p
-        if p == 0:
+        if self.p == 0:
             _strip_content(row)
             if row[pivot] < 0:
                 for k in row:
                     row[k] = -row[k]
-        else:
-            inv = pow(row[pivot], p - 2, p)
-            if inv != 1:
-                for k in row:
-                    row[k] = row[k] * inv % p
-
-    def _eliminate_table(self, row: dict, c: int) -> None:
-        """``_eliminate`` over GF(p^k), where stored pivots are 1."""
-        fld = self.field
-        add_scaled_table(row, fld.neg(row[c]), self.rows[c], fld)
-
-    def _normalize_table(self, row: dict, pivot: int) -> None:
+            return
         fld = self.field
         inv = fld.inv(row[pivot])
         if inv != 1:
+            mul = fld.mul
             for k in row:
-                row[k] = fld.mul(row[k], inv)
+                row[k] = mul(row[k], inv)
 
     def _prepare(self, row: dict) -> dict:
         """Copy a row, coercing coefficients (integers over QQ)."""
@@ -177,12 +113,8 @@ class Echelon:
                 if iv:
                     out[k] = iv
             return out
-        out = {}
-        for k, v in row.items():
-            iv = self.field.of(v)
-            if iv:
-                out[k] = iv
-        return out
+        of = self.field.of
+        return {k: iv for k, v in row.items() if (iv := of(v))}
 
     # -- public operations ----------------------------------------------------
     def reduce(self, row: dict) -> dict:
@@ -253,7 +185,7 @@ class Echelon:
         for c in sorted(k for k in r if k in self.rows):
             if c in r:
                 prow = self.rows[c]
-                add_scaled(r, -r[c] / prow[c], prow, 0)
+                self._add(r, -r[c] / prow[c], prow)
         return r
 
 
@@ -404,7 +336,7 @@ def intersect_spans(bases: list[GradedBasis]) -> GradedBasis:
             vec: dict = {}
             for i, c in combo.items():
                 if i < r:
-                    add_scaled(vec, c, vrows[i], first.field.modulus)
+                    first.field.add_scaled(vec, c, vrows[i])
             if vec:
                 ech.insert(vec)
         current = GradedBasis.from_echelon(ech, first.nvars, first.degree)

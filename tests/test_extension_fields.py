@@ -1,10 +1,12 @@
-"""GF(p^k): field axioms, identity and coercion, and the Echelon kernel.
+"""GF(p^k): field axioms, identity and coercion, and the sparse-row update.
 
 Elements of GF(p^k) are int codes below p^k whose base-p digits are the
 coefficients of a polynomial in x; the prime subfield is 0 .. p-1.
-``Echelon`` over GF(p^k) runs on the field's log tables, and the kernels
-that take an int modulus refuse the field; ``koszul_betti`` picks the
-log-table kernel for its rows.
+``ExtensionField.add_scaled`` updates rows on the field's log tables, and
+every row builder calls the field's ``add_scaled``: ``Echelon``,
+``koszul_betti``, ``mult_injective`` and ``intersect_spans`` answer over
+GF(p^k) as over GF(p), and so does ``IntersectionInk.contains``, which
+sums its fibers with the field's addition.
 """
 
 import random
@@ -16,9 +18,16 @@ import pytest
 from spechtideals import betti, fields
 from spechtideals.betti import default_j_max, koszul_betti
 from spechtideals.fields import ExtensionField, draw_field, field_of
-from spechtideals.ideals import GeneratedIdeal, IntersectionInk, mult_injective, specht_ideal
-from spechtideals.linalg import Echelon, echelon_span, intersect_spans, rank_sparse
-from spechtideals.poly import Polynomial
+from spechtideals.ideals import (
+    GeneratedIdeal,
+    IntersectionInk,
+    SquarefreeDegreeIdeal,
+    mult_injective,
+    specht_ideal,
+    sum_ideal,
+)
+from spechtideals.linalg import Echelon, GradedBasis, intersect_spans, rank_sparse
+from spechtideals.poly import Polynomial, monomials_of_degree
 from spechtideals.tableaux import Partition
 
 EXTENSIONS = [(2, 2), (2, 3), (2, 8), (3, 2), (3, 3), (3, 5), (5, 2), (7, 3)]
@@ -135,36 +144,92 @@ class TestCoercion:
             gf4.of(Fraction(1, 2))
 
 
-class TestPrimeKernelsRefuse:
-    def test_modulus(self):
-        assert (field_of(0).modulus, field_of(5).modulus) == (0, 5)
-        with pytest.raises(ValueError):
-            field_of(2, 8).modulus
+BASE_CHANGES = [(2, 2), (2, 8), (3, 5)]
 
-    def test_intersection_membership(self):
-        gf4 = field_of(2, 2)
-        ink = IntersectionInk(3, 2, gf4)
-        diff = Polynomial.variable(3, 0, gf4) - Polynomial.variable(3, 1, gf4)
-        with pytest.raises(ValueError):
-            ink.contains(diff)
-        assert ink.dim(1) == 0 and ink.dim(3) == IntersectionInk(3, 2, field_of(2)).dim(3)
 
-    def test_injectivity(self):
-        gf4 = field_of(2, 2)
-        ideal = GeneratedIdeal(3, gf4, [Polynomial.variable(3, 0, gf4) ** 2])
-        with pytest.raises(ValueError):
-            mult_injective(Polynomial.variable(3, 1, gf4), ideal, 1)
+def _over(poly, fld):
+    """The polynomial with the same coefficient codes over fld: prime-subfield
+    coefficients are the same elements of GF(p) and GF(p^k)."""
+    return Polynomial(poly.nvars, fld, poly.terms)
 
-    def test_intersect_spans(self):
-        gf4 = field_of(2, 2)
-        xs = [Polynomial.variable(2, i, gf4) for i in range(2)]
-        a, b = echelon_span(xs, 1), echelon_span([xs[0].scale(2) + xs[1]], 1)
-        with pytest.raises(ValueError):
-            intersect_spans([a, b])
+
+class TestBaseChange:
+    """The operations that build rows with ``Field.add_scaled`` answer over
+    GF(p^k), and on inputs with prime-subfield coefficients they agree with
+    the same call over GF(p): a rank, a span and an intersection do not
+    change under a field extension."""
+
+    @pytest.mark.parametrize("p, k", BASE_CHANGES)
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 2), (4, 2), (3, 3)])
+    def test_injectivity_on_the_socle_probe_ideals(self, parts, p, k):
+        shape = Partition(parts)
+        n = shape.n
+        reports = []
+        for fld in (field_of(p), field_of(p, k)):
+            ideal = sum_ideal(specht_ideal(shape, fld), SquarefreeDegreeIdeal(n, 3, fld))
+            xs = [Polynomial.variable(n, i, fld) for i in range(n)]
+            e1 = sum(xs, Polynomial.zero(n, fld))
+            # a second form with every prime-subfield coefficient in turn
+            other = sum((x.scale(fld.of(i % p)) for i, x in enumerate(xs)), Polynomial.zero(n, fld))
+            reports.append([mult_injective(f, ideal, d) for f in (e1, other) for d in range(4)])
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("p, k", BASE_CHANGES)
+    def test_intersect_spans(self, p, k):
+        fields = field_of(p), field_of(p, k)
+        rng = random.Random(p * 10 + k)
+        for _ in range(20):
+            nvars, d = rng.randrange(2, 4), rng.randrange(1, 3)
+            ncols = len(monomials_of_degree(nvars, d))
+            bases = [], []
+            for _ in range(rng.randrange(2, 4)):
+                rows = _random_rows(rng, rng.randrange(1, ncols + 1), ncols, range(p), density=0.6)
+                for fld, family in zip(fields, bases):
+                    ech = Echelon(fld)
+                    for r in rows:
+                        ech.insert(r)
+                    family.append(GradedBasis.from_echelon(ech, nvars, d))
+            prime, extension = (intersect_spans(family) for family in bases)
+            assert extension.rows == prime.rows and extension.field == fields[1]
+            for vec in extension.vectors():
+                assert all(b.contains(vec) for b in bases[1])
+
+    @staticmethod
+    def _combination(rng, vectors, fld, nvars):
+        out = Polynomial.zero(nvars, fld)
+        for v in vectors:
+            out = out + v.scale(rng.randrange(fld.order))
+        return out
+
+    @pytest.mark.parametrize("p, k", BASE_CHANGES)
+    @pytest.mark.parametrize("n, kk", [(3, 2), (4, 3), (4, 2)])
+    def test_intersection_membership(self, n, kk, p, k):
+        small, big = field_of(p), field_of(p, k)
+        prime, extension = IntersectionInk(n, kk, small), IntersectionInk(n, kk, big)
+        rng = random.Random(n * 100 + kk * 10 + p + k)
+        for d in range(1, 4):
+            monos = monomials_of_degree(n, d)
+            members = extension.component(d).vectors()
+            assert extension.dim(d) == prime.dim(d) == len(members)
+            for trial in range(12):
+                # over GF(p^k): a random element of the component, or a
+                # random binomial, most often outside it
+                if trial % 2:
+                    poly = self._combination(rng, members, big, n)
+                else:
+                    poly = Polynomial(n, big, {m: rng.randrange(big.order) for m in rng.sample(monos, 2)})
+                assert extension.contains(poly) == extension.component(d).contains(poly)
+                # the same codes over both fields
+                if trial % 2:
+                    digits = self._combination(rng, prime.component(d).vectors(), small, n)
+                else:
+                    digits = Polynomial(n, small, {m: rng.randrange(p) for m in monos})
+                assert extension.contains(_over(digits, big)) == prime.contains(digits)
 
 
 class TestKoszulRows:
-    """``koszul_betti`` builds its rows on the log-table kernel over GF(p^k)."""
+    """``koszul_betti`` builds its rows with the field's ``add_scaled``, on
+    the log tables over GF(p^k)."""
 
     @pytest.mark.parametrize("parts, p, k", [
         ((3, 3), 2, 2),  # ranked in 4 variables: d_3 and d_4 are built

@@ -20,7 +20,7 @@ from spechtideals.betti import (
 )
 from spechtideals.fields import QQ, field_of
 from spechtideals.ideals import GeneratedIdeal, QuotientRing, hilbert_function, mult_injective, specht_ideal
-from spechtideals.linalg import add_scaled, echelon_span, rank_sparse
+from spechtideals.linalg import echelon_span, rank_sparse
 from spechtideals.poly import Polynomial, poly_to_row
 from spechtideals.specht import specht_poly_degree
 from spechtideals.tableaux import Partition
@@ -835,7 +835,8 @@ def _ranked_table(ideal, j_max):
                     row = {}
                     for pos, s in enumerate(subset):
                         col = faces[i - 1][subset[:pos] + subset[pos + 1:]] * qdim[t + 1]
-                        add_scaled(row, (-1) ** pos, q.mult_map(s, t)[src], fld.characteristic, col)
+                        sign = fld.neg(1) if pos % 2 else 1
+                        fld.add_scaled(row, sign, q.mult_map(s, t)[src], col)
                     rows.append(row)
             ranks[i, j] = rank_sparse(rows, fld)
     entries = {}
