@@ -328,6 +328,8 @@ def _cmd_hilbert(args, report: Report) -> int:
     shape = Partition.from_text(args.shape)
     fld = field_of(args.char)
     d_max = args.max_deg if args.max_deg is not None else shape.parts[0] + 4
+    if d_max < 0:
+        raise ValueError(f"--max-deg must be nonnegative, got {d_max}")
     ideal = specht_ideal(shape, fld)
     dims = hilbert_function(ideal, d_max)
     report.tables["hilbert_function"] = dims
@@ -590,18 +592,28 @@ def _cmd_experiment(args, report: Report) -> int:
             shapes.append(Partition((n - d, d)))
     for a in range(2, (n_max - 1) // 2 + 1):
         shapes.append(Partition((a, a, 1)))
+    verdicts: dict = {}  # (shape, p) -> its verdict, or the resource cap that refused it
+
+    def verdict_of(shape, p):
+        if (shape, p) not in verdicts:
+            try:
+                verdicts[shape, p] = cm_verdict(shape, p)
+            except ResourceLimitError as exc:
+                verdicts[shape, p] = exc
+        return verdicts[shape, p]
+
     grid = []
     for shape in shapes:
         for p in primes:
             cell = {"shape": shape.text(), "p": p}
-            try:
-                verdict = cm_verdict(shape, p)
+            verdict = verdict_of(shape, p)
+            if isinstance(verdict, ResourceLimitError):
+                cell["resource_cap"] = str(verdict)
+            else:
                 predicted = p == 0 or p >= shape.n - shape.parts[0]
                 cell["is_cm"] = verdict.is_cm
                 cell["conjecture_predicts_cm"] = predicted
                 cell["consistent"] = verdict.is_cm == predicted
-            except ResourceLimitError as exc:
-                cell["resource_cap"] = str(exc)
             grid.append(cell)
     report.tables["experiment"] = grid
     # second observation: (a,a,1) quotients in characteristic 0 and whether
@@ -612,17 +624,13 @@ def _cmd_experiment(args, report: Report) -> int:
             continue
         a = shape.parts[0]
         cell = {"shape": shape.text(), "p": 0}
-        try:
-            verdict = cm_verdict(shape, 0)
-            strand = all(
-                j == i + a + 1
-                for (i, j) in verdict.table.entries
-                if i >= 1
-            )
+        verdict = verdict_of(shape, 0)
+        if isinstance(verdict, ResourceLimitError):
+            cell["resource_cap"] = str(verdict)
+        else:
+            strand = all(j == i + a + 1 for (i, j) in verdict.table.entries if i >= 1)
             cell["linear_resolution"] = strand
             cell["betti_totals"] = verdict.table.totals()
-        except ResourceLimitError as exc:
-            cell["resource_cap"] = str(exc)
         linear.append(cell)
     if linear:
         report.tables["aa1_linear_resolution"] = linear

@@ -66,13 +66,16 @@ class Field:
     """A coefficient field, identified by its characteristic p and degree k.
 
     ``characteristic == 0`` gives exact rationals; a prime p < 2**31 gives
-    GF(p), and k > 1 gives GF(p^k) (:class:`ExtensionField`).  Instances
-    are interned by :func:`field_of`.
+    GF(p), and k > 1 gives GF(p^k), which only :class:`ExtensionField`
+    builds: this class has the arithmetic of k = 1 alone.  Instances are
+    interned by :func:`field_of`.
     """
 
     __slots__ = ("characteristic", "degree")
 
     def __init__(self, characteristic: int, degree: int = 1):
+        if degree != 1 and type(self) is Field:
+            raise ValueError(f"Field takes degree 1 only; degree {degree} needs ExtensionField")
         if characteristic != 0 and (
             characteristic >= _MAX_PRIME or not is_prime(characteristic)
         ):

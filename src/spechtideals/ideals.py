@@ -466,12 +466,8 @@ class PartitionIdealK(Ideal):
 
     @_per_degree
     def component(self, d: int) -> GradedBasis:
-        ech = Echelon(self.field)
-        for group in self._fibers(d):
-            j0 = group[0]
-            for j in group[1:]:
-                ech.insert({j0: 1, j: -1})
-        return GradedBasis.from_echelon(ech, self.nvars, d)
+        rows = ({group[0]: 1, j: -1} for group in self._fibers(d) for j in group[1:])
+        return GradedBasis.from_echelon(Echelon.of_rows(self.field, rows), self.nvars, d)
 
     def _fibers(self, d: int) -> list[list[int]]:
         """The degree-d monomial indices grouped by their collapsed monomial."""
@@ -585,10 +581,8 @@ class IntersectionInk(Ideal):
         free = [j for j, mono in enumerate(monos) if mono.count(0) < k]
         items = ((t, monos[j]) for t, j in enumerate(free))  # tagged by position in free
         rows = [dict.fromkeys(group, 1) for group in _collapse_fibers(n, k, items)]
-        ech = Echelon(self.field)
-        for v in null_space(rows, self.field, len(free)):
-            ech.insert({free[t]: c for t, c in v.items()})
-        return GradedBasis.from_echelon(ech, n, d)
+        null = ({free[t]: c for t, c in v.items()} for v in null_space(rows, self.field, len(free)))
+        return GradedBasis.from_echelon(Echelon.of_rows(self.field, null), n, d)
 
 
 class SquarefreeDegreeIdeal(Ideal):
@@ -637,11 +631,8 @@ class SumIdealGeneric(Ideal):
 
     @_per_degree
     def component(self, d: int) -> GradedBasis:
-        ech = Echelon(self.field)
-        for part in self.parts:
-            for row in part.component(d).rows.values():
-                ech.insert(row)
-        return GradedBasis.from_echelon(ech, self.nvars, d)
+        rows = (row for part in self.parts for row in part.component(d).rows.values())
+        return GradedBasis.from_echelon(Echelon.of_rows(self.field, rows), self.nvars, d)
 
 
 def sum_ideal(*parts: Ideal) -> Ideal:
@@ -840,18 +831,15 @@ def socle(ideal: Ideal, d: int) -> GradedBasis:
     q = ideal.quotient_ring()
     src = q.basis_columns(d)
     tgt_dim = q.quotient_dim(d + 1)
+    fld = ideal.field
     rows = []
     for t in range(len(src)):
         stacked: dict = {}
         for i in range(ideal.nvars):
-            image = q.mult_map(i, d)[t]
-            for pos, c in image.items():
-                stacked[i * tgt_dim + pos] = c
+            fld.add_scaled(stacked, 1, q.mult_map(i, d)[t], i * tgt_dim)
         rows.append(stacked)
-    _, kernel = span_and_kernel(rows, ideal.field, ideal.nvars * tgt_dim)
-    ech = Echelon(ideal.field)
-    for combo in kernel:
-        ech.insert({src[t]: c for t, c in combo.items()})
+    _, kernel = span_and_kernel(rows, fld, ideal.nvars * tgt_dim)
+    ech = Echelon.of_rows(fld, ({src[t]: c for t, c in combo.items()} for combo in kernel))
     return GradedBasis.from_echelon(ech, ideal.nvars, d)
 
 

@@ -1,21 +1,22 @@
 """Exact graded linear algebra: reduced echelon forms, ranks, kernels.
 
 This is the package's one linear-algebra core: the exact eliminations of
-``ideals`` and ``betti`` all run on :class:`Echelon`, and every sparse-row
-update, elimination in :class:`Echelon` included, goes through the
+``ideals`` and ``betti`` all run on :class:`Echelon`, built from rows by
+:meth:`Echelon.of_rows`, and every sparse-row update goes through the
 field's ``add_scaled`` (:mod:`fields`), whatever the field.
 
 Rows are sparse ``{column: coefficient}`` dicts.  Over a finite field,
-GF(p) or GF(p^k), the engine does ordinary monic elimination; over the
+GF(p) or GF(p^k), the engine does ordinary monic elimination, and a
+:class:`GradedBasis` shares the rows of its finished echelon; over the
 rationals it is fraction-free (Bareiss-style cross-multiplication with
 content stripping), so all intermediate entries are integers.  Reduced
 form is maintained incrementally, which keeps stored rows supported on
-their pivot plus the current non-pivot columns only.  Normal forms modulo
-a reduced basis go through :meth:`Echelon.reduce_exact`.  Ranks come from
-:func:`rank_sparse` over any field, or from the vectorized
-:func:`rank_dense_mod_p` over GF(p) alone (numpy computes in prime
-fields only), which imports numpy on its first call, not with the
-package, and pays for that only on large matrices.
+their pivot plus the current non-pivot columns only.  Left kernels are
+the residues of augmented rows (:func:`span_and_kernel`), normal forms
+come from :meth:`Echelon.reduce_exact`, and ranks from :func:`rank_sparse`
+over any field or the vectorized :func:`rank_dense_mod_p` over GF(p)
+alone (numpy computes in prime fields only), which imports numpy on its
+first call, not with the package, and pays for that only on large matrices.
 """
 
 from __future__ import annotations
@@ -40,21 +41,24 @@ def _strip_content(row: dict) -> None:
 
 
 class Echelon:
-    """Incremental reduced row echelon form over an exact field.
+    """Incremental reduced row echelon form over an exact field: ``rows``
+    maps each pivot column to its reduced row.  ``of_rows`` builds one from
+    rows; ``insert`` adds a row, and ``pin`` sets rows known to be in it."""
 
-    ``aug_base``, when set, marks columns >= aug_base as bookkeeping-only:
-    rows whose support falls entirely in the augmented range are collected
-    in ``kernel_rows`` instead of becoming pivots.
-    """
-
-    def __init__(self, field: Field, aug_base: int | None = None):
+    def __init__(self, field: Field):
         self.field = field
         self.p = field.characteristic
-        self.aug_base = aug_base
         self.rows: dict[int, dict] = {}
         self.touch: dict[int, set] = {}
-        self.kernel_rows: list[dict] = []
         self._add, self._neg = field.add_scaled, field.neg  # bound once: run per elimination
+
+    @classmethod
+    def of_rows(cls, field: Field, rows) -> "Echelon":
+        """A new echelon with ``rows`` inserted in the given order."""
+        ech = cls(field)
+        for row in rows:
+            ech.insert(row)
+        return ech
 
     @classmethod
     def of_reduced(cls, field: Field, rows: dict[int, dict]) -> "Echelon":
@@ -142,9 +146,6 @@ class Echelon:
         if not r:
             return None
         pivot = min(r)
-        if self.aug_base is not None and pivot >= self.aug_base:
-            self.kernel_rows.append(r)
-            return None
         self._normalize(r, pivot)
         self.rows[pivot] = r  # register first so _eliminate sees it
         # touch[k] lists at least the rows holding column k; entries that
@@ -163,17 +164,15 @@ class Echelon:
         return pivot
 
     def monic_rows(self) -> dict[int, dict]:
-        """Canonical reduced rows: pivot coefficient 1 (Fractions over QQ)."""
+        """Canonical reduced rows: pivot coefficient 1 (Fractions over QQ).
+        Over a finite field these are the stored rows themselves, not copies:
+        nothing is inserted after they are taken, and no caller mutates them."""
+        if self.p:
+            return self.rows
         out = {}
-        if self.p == 0:
-            for piv, row in self.rows.items():
-                lead = row[piv]
-                out[piv] = {
-                    k: Fraction(v, lead) if v % lead else v // lead
-                    for k, v in row.items()
-                }
-        else:
-            out = {piv: dict(row) for piv, row in self.rows.items()}
+        for piv, row in self.rows.items():
+            lead = row[piv]
+            out[piv] = {k: Fraction(v, lead) if v % lead else v // lead for k, v in row.items()}
         return out
 
     def reduce_exact(self, row: dict) -> dict:
@@ -193,17 +192,16 @@ def span_and_kernel(rows: list[dict], field: Field, ncols: int) -> tuple[Echelon
     """Echelon of the span plus a basis of the left-kernel.
 
     Kernel rows are combinations over the *row index* space: a returned
-    ``{i: c}`` means ``sum_i c * rows[i] == 0``.
+    ``{i: c}`` means ``sum_i c * rows[i] == 0``.  Row i gets a 1 in column
+    ncols + i, so its residue is nonzero; one on those columns alone is a kernel row.
     """
-    ech = Echelon(field, aug_base=ncols)
-    one = 1
+    ech, kernel = Echelon(field), []
     for i, row in enumerate(rows):
-        r = dict(row)
-        r[ncols + i] = one
-        ech.insert(r)
-    kernel = [
-        {k - ncols: v for k, v in krow.items()} for krow in ech.kernel_rows
-    ]
+        r = ech.reduce({**row, ncols + i: 1})
+        if min(r) >= ncols:
+            kernel.append({k - ncols: v for k, v in r.items()})
+        else:
+            ech.insert(r)
     return ech, kernel
 
 
@@ -213,10 +211,7 @@ def null_space(rows, field: Field, ncols: int) -> list[dict]:
     One vector per non-pivot column f of the reduced echelon form: e_f minus
     the column-f entries of the monic pivot rows, placed at their pivots.
     """
-    ech = Echelon(field)
-    for row in rows:
-        ech.insert(row)
-    monic = ech.monic_rows()
+    monic = Echelon.of_rows(field, rows).monic_rows()
     kernel = {f: {f: 1} for f in range(ncols) if f not in monic}
     neg = field.neg
     for piv, row in monic.items():
@@ -242,6 +237,7 @@ class GradedBasis:
 
     @staticmethod
     def from_echelon(ech: Echelon, nvars: int, degree: int) -> "GradedBasis":
+        """The basis of a finished echelon, sharing its rows over a finite field."""
         return GradedBasis(nvars, degree, ech.field, ech.monic_rows())
 
     @property
@@ -303,7 +299,6 @@ def echelon_span(polys, d: int, field: Field | None = None, nvars: int | None = 
         if not polys:
             raise ValueError("cannot infer ring dimension from an empty list")
         nvars = polys[0].nvars
-    ech = Echelon(field)
     for p in nonzero:
         if p.nvars != nvars:
             raise ValueError("mixed ring dimensions")
@@ -312,7 +307,7 @@ def echelon_span(polys, d: int, field: Field | None = None, nvars: int | None = 
         deg = p.homogeneous_degree()
         if deg != d:
             raise ValueError(f"expected homogeneous degree {d}, got {deg}")
-        ech.insert(poly_to_row(p, d))
+    ech = Echelon.of_rows(field, [poly_to_row(p, d) for p in nonzero])
     return GradedBasis.from_echelon(ech, nvars, d)
 
 
@@ -330,15 +325,15 @@ def intersect_spans(bases: list[GradedBasis]) -> GradedBasis:
         vrows = [current.rows[piv] for piv in sorted(current.rows)]
         wrows = [other.rows[piv] for piv in sorted(other.rows)]
         _, kernel = span_and_kernel(vrows + wrows, first.field, ncols)
-        ech = Echelon(first.field)
         r = len(vrows)
+        vecs = []
         for combo in kernel:
             vec: dict = {}
             for i, c in combo.items():
                 if i < r:
                     first.field.add_scaled(vec, c, vrows[i])
-            if vec:
-                ech.insert(vec)
+            vecs.append(vec)
+        ech = Echelon.of_rows(first.field, vecs)
         current = GradedBasis.from_echelon(ech, first.nvars, first.degree)
     return current
 
@@ -382,7 +377,4 @@ def rank_dense_mod_p(rows: list[dict], ncols: int, p: int) -> int:
 
 def rank_sparse(rows, field: Field) -> int:
     """Rank of sparse rows over any exact field, by incremental elimination."""
-    ech = Echelon(field)
-    for row in rows:
-        ech.insert(row)
-    return ech.rank
+    return Echelon.of_rows(field, rows).rank

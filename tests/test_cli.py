@@ -305,6 +305,30 @@ class TestCommands:
         assert cells[("3,3", 5)]["consistent"] is True
         assert verdict(payload, "all_consistent_with_characteristic_conjecture") is True
 
+    @pytest.mark.parametrize("capped", [None, "2,2,1"])
+    def test_experiment_computes_each_verdict_once(self, monkeypatch, capped):
+        # the (a,a,1) pass reads the grid's char-0 verdicts, and its
+        # resource caps, instead of computing them again
+        calls = []
+        real = cli.cm_verdict
+
+        def spy(shape, p, **kwargs):
+            calls.append((shape.text(), p))
+            if shape.text() == capped:
+                raise varieties.ResourceLimitError("capped for the test")
+            return real(shape, p, **kwargs)
+
+        monkeypatch.setattr(cli, "cm_verdict", spy)
+        payload, code = run_json(["experiment", "--n-max", "6", "--primes", "0,2"])
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 10  # five shapes, two primes
+        (aa1,) = payload["tables"]["aa1_linear_resolution"]
+        grid = {(c["shape"], c["p"]): c for c in payload["tables"]["experiment"]}
+        if capped:
+            assert aa1["resource_cap"] == grid["2,2,1", 0]["resource_cap"] == "capped for the test"
+        else:
+            assert aa1["linear_resolution"] is True and "is_cm" in grid["2,2,1", 0]
+
 
 class TestReports:
     def test_schema_keys(self):
@@ -468,6 +492,14 @@ class TestRefusedInput:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == "error: --squarefree-deg must be positive\n"
+
+    @pytest.mark.parametrize("command", ["hilbert", "radical-check"])
+    def test_max_deg_names_its_flag(self, command):
+        argv = [command, "--shape", "2,2", "--max-deg", "-1"]
+        out = _cli_process(argv, stdout=subprocess.PIPE)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: --max-deg must be nonnegative, got -1\n"
 
     def test_bounds_at_the_edge_stay_valid(self):
         payload, code = run_json(["cm-check", "--shape", "3,3", "--max-deg", "3"])

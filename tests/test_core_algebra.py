@@ -1,5 +1,8 @@
 """Field arithmetic, polynomials, substitution, and graded linear algebra."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -308,6 +311,66 @@ class TestEchelonDifferential:
                 for c, v in rows[i].items():
                     total[c] = total.get(c, 0) + coeff * v
             assert all(v == 0 for v in total.values())
+
+
+def _dependent_rows(fld, rng, nrows, ncols):
+    """Sparse rows over fld with keys in a shuffled order, then sums of
+    multiples of earlier rows, so the left kernel is never zero."""
+    rows = []
+    for _ in range(nrows):
+        cols = rng.sample(range(ncols), rng.randrange(1, ncols + 1))
+        rows.append({c: v for c in cols if (v := rng.randrange(fld.order))})
+    for _ in range(3):
+        combo: dict = {}
+        for row in rng.sample(rows, 2):
+            fld.add_scaled(combo, rng.randrange(1, fld.order), row)
+        rows.insert(rng.randrange(len(rows) + 1), combo)
+    return rows
+
+
+# sha256 of the kernel rows of span_and_kernel and the vectors of null_space,
+# each as list(row.items()), on the matrices of _dependent_rows below
+_FINITE_KERNEL_DIGESTS = {
+    (2, 1): "a0144058ee3b5fb852d0971986267c5fbad4812f24f862e46c3ffacc7d84dfc5",
+    (3, 1): "57f4655ff7969d80ecede93d33eaff2b3a8352657beb0adabb81b034a953b8be",
+    (32003, 1): "6b0b9f971c5101c3bd4a69f5f7abe2ade60c7393d9467106884633cc54f958ed",
+    (2, 8): "3ec2e9192f387dfdf7825f5aaa43b46020ddfe1abe7b832043e675adb1d3fefc",
+    (3, 5): "a6b79b0c9c26367f38697f950e11d433bd090fe149a6aa194312e535e9b66812",
+}
+
+
+class TestFiniteFieldKernels:
+    """Kernels over finite fields, key order included: the QQ kernels are
+    pinned by the replay digests, these by nothing else."""
+
+    @pytest.mark.parametrize("p, k", sorted(_FINITE_KERNEL_DIGESTS))
+    def test_kernels_unchanged(self, p, k):
+        from spechtideals.linalg import null_space, span_and_kernel
+
+        fld = field_of(p, k)
+        rng = random.Random(fld.order)
+        out = []
+        for trial in range(12):
+            ncols = rng.randrange(2, 9)
+            rows = _dependent_rows(fld, rng, rng.randrange(2, 10), ncols)
+            ech, kernel = span_and_kernel(rows, fld, ncols)
+            null = null_space(rows, fld, ncols)
+            assert len(kernel) == len(rows) - ech.rank and kernel
+            assert len(null) == ncols - ech.rank
+            for combo in kernel:  # a kernel row combines the rows to zero
+                total: dict = {}
+                for i, c in combo.items():
+                    fld.add_scaled(total, c, rows[i])
+                assert not total
+            for vec in null:  # a null vector is orthogonal to every row
+                for row in rows:
+                    dot = 0
+                    for c, v in row.items():
+                        dot = fld.add(dot, fld.mul(v, vec.get(c, 0)))
+                    assert dot == 0
+            out.append([[list(r.items()) for r in kernel], [list(v.items()) for v in null]])
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        assert digest == _FINITE_KERNEL_DIGESTS[p, k]
 
 
 class TestIntersectSpans:

@@ -105,6 +105,14 @@ class TestIdentity:
             with pytest.raises(ValueError):
                 ExtensionField(p, k)
 
+    @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (0, 2), (5, 0)])
+    def test_a_plain_field_has_degree_one(self, p, k):
+        # Field(2, 3) would equal and hash like GF(2^3) with the arithmetic
+        # of GF(2), so the ring checks could not tell the two apart
+        with pytest.raises(ValueError, match="degree 1 only"):
+            fields.Field(p, k)
+        assert fields.Field(2) == field_of(2) and field_of(2, 3).mul(2, 2) == 4
+
     def test_polynomials_over_different_fields_do_not_mix(self):
         with pytest.raises(ValueError):
             Polynomial.variable(2, 0, field_of(2)) + Polynomial.variable(2, 0, field_of(2, 2))
