@@ -246,7 +246,8 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
     minimal generators of J in degree j
     (``GeneratedIdeal.minimal_generators``), and
     rank d_2 = m q_{j-1} - q_j - mu_j.  A derived rank outside
-    [0, min(rows, columns)] of its matrix raises a SelfCheckError.
+    [0, min(rows, columns)] of its matrix raises a SelfCheckError.  The rows
+    of d_i, i >= 3, come from ``QuotientRing.map_rows``, one block per i-subset.
 
     Every chain dimension is known once the Hilbert function is, so a
     Koszul matrix past ``_COLUMN_CAP`` columns raises a ResourceLimitError
@@ -266,7 +267,7 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
     fld = work.field
     p = fld.characteristic
     dense = p > 0 and fld.degree == 1 and qdim[-1] == 0
-    add, minus = fld.add_scaled, fld.neg(1)
+    minus = fld.neg(1)
 
     def chain_dim(i: int, j: int) -> int:
         t = j - i
@@ -290,18 +291,12 @@ def koszul_betti(ideal: GeneratedIdeal, j_max: int) -> BettiTable:
 
     def koszul_rows(i: int, t: int):
         """Rows of the Koszul map K_i -> K_{i-1} in internal degree i + t."""
-        tgt_block = qdim[t + 1]
-        maps = [q.mult_map(s, t) for s in range(m)]
+        tgt_block, pos_of = qdim[t + 1], subset_pos[i - 1]
         for S in subsets[i]:
-            smaller = [
-                (minus if pos % 2 else 1, subset_pos[i - 1][S[:pos] + S[pos + 1 :]], s)
+            yield from q.map_rows(t, [
+                (s, minus if pos % 2 else 1, pos_of[S[:pos] + S[pos + 1 :]] * tgt_block)
                 for pos, s in enumerate(S)
-            ]
-            for src in range(qdim[t]):
-                row: dict = {}
-                for sign, s_idx, s in smaller:
-                    add(row, sign, maps[s][src], s_idx * tgt_block)
-                yield row
+            ])
 
     ranks: dict[tuple[int, int], int] = {}
     for i, j in matrices:

@@ -204,10 +204,16 @@ class Report:
         if fmt == "md":
             return self._render_md()
         if fmt == "m2":
-            diagram = self.tables.get("betti_diagram")
-            if diagram is None:
+            lines = self.tables.get("betti_diagram")
+            if lines is None and self.command in ("betti", "cm-check"):
+                # a refused or failed run has no diagram: its verdict stands in
+                lines = [
+                    f"{v['name']}: {v['value']}" for v in self.verdicts
+                    if v["name"] in ("resource_cap", "internal_error")
+                ]
+            if not lines:
                 raise ValueError("m2 format applies to betti/cm-check reports")
-            return "\n".join(diagram)
+            return "\n".join(lines)
         raise ValueError(f"unknown format {fmt!r}")
 
     def _render_md(self) -> str:
@@ -671,26 +677,14 @@ def run(argv) -> tuple[Report | None, int]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return None, (0 if exc.code == 0 else 2)
+    extras = {k: v for k, v in vars(args).items() if v is not None and k != "timing"}
     config = RunConfig(
-        command=args.command,
-        shape=getattr(args, "shape", None),
-        characteristic=getattr(args, "char", 0),
-        max_degree=getattr(args, "max_deg", None),
-        output_format=args.format,
-        extras={
-            k: v
-            for k, v in vars(args).items()
-            if k
-            not in (
-                "command",
-                "shape",
-                "char",
-                "max_deg",
-                "format",
-                "timing",
-            )
-            and v is not None
-        },
+        command=extras.pop("command"),
+        shape=extras.pop("shape", None),
+        characteristic=extras.pop("char", 0),
+        max_degree=extras.pop("max_deg", None),
+        output_format=extras.pop("format"),
+        extras=extras,
     )
     report = Report(command=args.command, config=config)
     start = time.monotonic()

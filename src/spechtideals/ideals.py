@@ -749,7 +749,9 @@ def _separating_vector(bigger: GradedBasis, smaller: GradedBasis) -> Polynomial:
 
 
 class QuotientRing:
-    """R/I with reduction onto standard monomials, one degree at a time."""
+    """R/I with reduction onto standard monomials, one degree at a time.
+    ``mult_map`` is x_i : Q_d -> Q_{d+1}; every other linear map built on
+    the x_i (Koszul, socle, a linear form) takes its rows from ``map_rows``."""
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
@@ -778,12 +780,6 @@ class QuotientRing:
         pos = self._pos[d]
         return {pos[j]: c for j, c in reduced.items()}
 
-    def reduce_poly(self, p: Polynomial) -> dict:
-        d = p.homogeneous_degree()
-        if d is None:
-            return {}
-        return self.reduce_row(poly_to_row(p.map_field(self.field), d), d)
-
     def mult_map(self, i: int, d: int) -> list[dict]:
         """x_i as a map Q_d -> Q_{d+1}, one output row per basis element.
 
@@ -809,35 +805,35 @@ class QuotientRing:
             self._mult[key] = maps
         return maps
 
-    def poly_from_coords(self, coords: dict, d: int) -> Polynomial:
-        monos = monomials_of_degree(self.nvars, d)
-        cols = self.basis_columns(d)
-        return Polynomial(
-            self.nvars, self.field, {monos[cols[t]]: c for t, c in coords.items()}
-        )
+    def map_rows(self, d: int, terms) -> list[dict]:
+        """Rows of the sum of c * x_i over ``terms``, triples (i, c, offset)
+        with c nonzero, one row per basis element y of Q_d: each image
+        c * (x_i y), its columns shifted by its offset, is added to y's row
+        in the order of ``terms``, which fixes the order of the row's keys."""
+        rows = [{} for _ in self.basis_columns(d)]
+        add = self.field.add_scaled
+        for i, c, offset in terms:
+            for row, image in zip(rows, self.mult_map(i, d)):
+                add(row, c, image, offset)
+        return rows
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical representative of the class of p, on standard monomials."""
         if p.is_zero():
             return p
-        d = p.homogeneous_degree()
-        return self.poly_from_coords(self.reduce_poly(p), d)
+        return self.ideal.component(p.homogeneous_degree()).reduce_poly(p)
 
 
 def socle(ideal: Ideal, d: int) -> GradedBasis:
-    """Basis of {y in (R/I)_d : x_i y = 0 in (R/I)_{d+1} for all i}."""
+    """Basis of {y in (R/I)_d : x_i y = 0 in (R/I)_{d+1} for all i}, the
+    kernel of the x_i maps placed side by side."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     q = ideal.quotient_ring()
     src = q.basis_columns(d)
     tgt_dim = q.quotient_dim(d + 1)
+    rows = q.map_rows(d, [(i, 1, i * tgt_dim) for i in range(ideal.nvars)])
     fld = ideal.field
-    rows = []
-    for t in range(len(src)):
-        stacked: dict = {}
-        for i in range(ideal.nvars):
-            fld.add_scaled(stacked, 1, q.mult_map(i, d)[t], i * tgt_dim)
-        rows.append(stacked)
     _, kernel = span_and_kernel(rows, fld, ideal.nvars * tgt_dim)
     ech = Echelon.of_rows(fld, ({src[t]: c for t, c in combo.items()} for combo in kernel))
     return GradedBasis.from_echelon(ech, ideal.nvars, d)
@@ -863,18 +859,11 @@ def mult_injective(form: Polynomial, ideal: Ideal, d: int) -> MultMapReport:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     q = ideal.quotient_ring()
-    src = q.basis_columns(d)
     fld = ideal.field
     # a zero coefficient adds nothing; the log tables need c != 0
-    coeffs = {m.index(1): v for m, c in form.terms.items() if (v := fld.of(c))}
-    rows = []
-    for t in range(len(src)):
-        row: dict = {}
-        for i, c in coeffs.items():
-            fld.add_scaled(row, c, q.mult_map(i, d)[t])
-        rows.append(row)
-    rank = rank_sparse(rows, fld)
-    dim_src = len(src)
+    terms = [(m.index(1), v, 0) for m, c in form.terms.items() if (v := fld.of(c))]
+    rank = rank_sparse(q.map_rows(d, terms), fld)
+    dim_src = q.quotient_dim(d)
     dim_tgt = q.quotient_dim(d + 1)
     return MultMapReport(
         injective=rank == dim_src,

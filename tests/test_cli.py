@@ -602,6 +602,35 @@ class TestInternalError:
         assert verdict(json.loads(out.stdout), "certificate") == "artinian-length"
 
 
+class TestM2Failures:
+    """A refused or failed betti/cm-check has no diagram: ``--format m2``
+    prints its verdict instead and keeps the exit code."""
+
+    def _main(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    def test_refused_betti(self, monkeypatch, capsys):
+        monkeypatch.setattr(betti, "_COLUMN_CAP", 10)
+        code, out, err = self._main(["betti", "--shape", "3,3", "--char", "2", "--format", "m2"], capsys)
+        assert (code, err) == (3, "")
+        assert re.fullmatch(r"resource_cap: [^\n]*cap is 10\n", out)
+
+    def test_failed_self_check(self, monkeypatch, capsys):
+        real = betti.artinian_reduction
+
+        def skewed(*args, **kwargs):
+            tables, measured = real(*args, **kwargs)
+            return [replace(t, entries={**t.entries, (5, 9): 1}) for t in tables], measured
+
+        monkeypatch.setattr(betti, "artinian_reduction", skewed)
+        code, out, err = self._main(["cm-check", "--shape", "2,2", "--format", "m2"], capsys)
+        assert (code, err) == (4, "")
+        assert re.fullmatch(r"internal_error: SelfCheckError: [^\n]*pd 5 != lambda_1[^\n]*\n", out)
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize(
         "argv, code",

@@ -372,6 +372,28 @@ class TestFiniteFieldKernels:
         digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
         assert digest == _FINITE_KERNEL_DIGESTS[p, k]
 
+    @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 8)])
+    def test_each_row_is_reduced_once(self, p, k, monkeypatch):
+        # a row outside the kernel is placed as reduced, not reduced again
+        from spechtideals.linalg import Echelon, span_and_kernel
+
+        calls = []
+        real = Echelon.reduce
+
+        def spy(self, row):
+            calls.append(row)
+            return real(self, row)
+
+        monkeypatch.setattr(Echelon, "reduce", spy)
+        fld = field_of(p, k)
+        rng = random.Random(fld.order)
+        for trial in range(12):
+            ncols = rng.randrange(2, 9)
+            rows = _dependent_rows(fld, rng, rng.randrange(2, 10), ncols)
+            calls.clear()
+            ech, _ = span_and_kernel(rows, fld, ncols)
+            assert ech.rank and len(calls) == len(rows)
+
 
 class TestIntersectSpans:
     def test_single_basis_identity(self):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -771,6 +772,44 @@ class TestMultMapNormalForms:
         shape, fld = Partition(parts), field_of(p)
         ideal = sum_ideal(specht_ideal(shape, fld), SquarefreeDegreeIdeal(shape.n, 3, fld))
         _assert_maps_are_normal_forms(ideal, 4)
+
+
+class TestMapRows:
+    """``QuotientRing.map_rows`` against rows stacked by hand from
+    ``mult_map`` with the field's own add and mul, key order included."""
+
+    @pytest.mark.parametrize("parts", [(3, 2), (4, 2)])
+    @pytest.mark.parametrize("fld", [QQ, field_of(3), field_of(2, 8)], ids=repr)
+    def test_against_stacked_mult_maps(self, parts, fld):
+        shape = Partition(parts)
+        ideal = sum_ideal(specht_ideal(shape, fld), SquarefreeDegreeIdeal(shape.n, 3, fld))
+        q = ideal.quotient_ring()
+        rng = random.Random(shape.n * fld.order)
+        coeffs = [1, -1, 2, Fraction(-3, 2)] if fld == QQ else range(1, fld.order)
+        checked = 0
+        for d in range(4):
+            tgt_dim = q.quotient_dim(d + 1)
+            for _ in range(4):
+                # repeated variables and shared offsets make entries cancel
+                terms = [
+                    (rng.randrange(shape.n), rng.choice(coeffs), rng.randrange(3) * tgt_dim)
+                    for _ in range(rng.randrange(1, 2 * shape.n))
+                ]
+                want = []
+                for t in range(q.quotient_dim(d)):
+                    row: dict = {}
+                    for i, c, offset in terms:
+                        for k, v in q.mult_map(i, d)[t].items():
+                            nv = fld.add(row.get(k + offset, 0), fld.mul(c, v))
+                            if nv:
+                                row[k + offset] = nv
+                            else:
+                                row.pop(k + offset, None)
+                    want.append(list(row.items()))
+                got = [list(row.items()) for row in q.map_rows(d, terms)]
+                assert got == want, (d, terms)
+                checked += sum(map(len, want))
+        assert checked > 0
 
 
 def _full_incidence(ink, d):
