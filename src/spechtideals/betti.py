@@ -78,14 +78,34 @@ The draw-and-accept loop, ``artinian_draw``, also serves
 degree where the minimal primes are the P_F with |F| = lambda_1 + 1: there
 L = e(V) makes R/I CM and reduced (its docstring), over the same field.
 
-Characteristic 0 tables are computed over the two large primes of
-``fields.PROXY_PRIMES``, whose tables must agree (a disagreement raises,
-never resolves silently); an exact-rational run is available behind a flag.
+A certified characteristic-0 table is computed over one prime p, the
+first of ``fields.PROXY_PRIMES``, whenever flatness pins it as the rational
+table.  Let the integer forms give L_p = e(V) over GF(p) (for d = 0, where
+no forms are drawn, L_p is compared with e(V) as well).  In every degree t,
+dim_QQ A_t <= dim_GF(p) A_t, and L_QQ >= e(V) = L_p, so the two Hilbert
+functions agree and the Artinian algebra over Z_(p) is flat.  Every Koszul
+rank mod p is then at most the rank over QQ between chain groups of the
+same dimensions, so beta^QQ <= beta^p entrywise, with the same alternating
+sum in every internal degree j.  A GF(p) table with at most one nonzero
+entry in each internal degree is therefore the QQ table
+(``flat_refusal``).  The hooks (a,1^k) with a >= 3 and k >= 2 have two
+entries in some degree, (4,1,1) in degrees 5-7: their table is computed
+over the second proxy prime too, from forms drawn there, and the two
+tables must agree (a disagreement raises, never resolves silently).  Each
+bounds the rational table entrywise by the same argument; their agreement
+stands in for a proof there, and the certificate lists both fields.  A
+Koszul table in characteristic 0 is computed over both primes, which must
+agree likewise.  ``betti --char 0`` ranks the certified quotient of one
+draw over both primes, which must agree, and reads it up to the first
+bound of ``koszul_bounds`` that closes it off, as far as the Koszul table
+it replaces would have reached; it takes that Koszul table only where
+nothing is certified.  An exact-rational run is available behind a flag.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 from math import comb
@@ -345,13 +365,19 @@ class Certificate:
     """How a verdict was established, as the report shows it.
 
     For ``cm-check``: ``artinian-length``, the Artinian reduction proved CM
-    over ``fields`` (the two proxy primes in characteristic 0, the one
-    field of ``artinian_field`` in characteristic p) and the table is
-    complete; ``heuristic``, the table is a Koszul table up to ``j_max``
-    whose strands look closed.  A certificate records only values measured
-    over its own fields: a ``heuristic`` one keeps the ``length`` and
-    ``multiplicity`` of an Artinian attempt that did not certify, if one
-    ran, in characteristic 0, and none in characteristic p.
+    over ``fields`` and the table is complete; ``heuristic``, the table is
+    a Koszul table up to ``j_max`` whose strands look closed.  In
+    characteristic p ``fields`` is one field, that of ``artinian_field``
+    or GF(p).  In characteristic 0 an ``artinian-length`` certificate
+    that lists one field, GF(``PROXY_PRIMES[0]``), says that flatness
+    pins that field's table as the rational one (``flat_refusal``); one
+    that lists both proxy primes says that it does not, and that the two
+    primes' tables agree.  A ``heuristic`` one lists both proxy primes.
+    QQ comes last when the exact-rational table was computed and agrees.
+    A certificate records only values measured over its own fields: a
+    ``heuristic`` one keeps the ``length`` and ``multiplicity`` of an
+    Artinian attempt that did not certify, if one ran, in characteristic
+    0, and none in characteristic p.
 
     For ``radical-check``: ``artinian-length``, the equality holds in
     every degree (``radical_by_length``, ``j_max`` None);
@@ -534,6 +560,36 @@ def artinian_reduction(
     return tables, measured
 
 
+def flat_refusal(table: BettiTable, length: int, e_v: int) -> str | None:
+    """Why flatness does not pin ``table``, the complete table of a
+    certified Artinian reduction of length ``length`` over GF(p) by integer
+    forms, as the rational table; None when it does (module docstring).
+
+    L_p = e(V) makes the algebra over Z_(p) flat, and then an internal
+    degree with at most one entry holds the same entry over QQ."""
+    if length != e_v:
+        return f"length {length} is not e(V) = {e_v}"
+    per_degree = Counter(j for _, j in table.entries)
+    crowded = [str(j) for j in sorted(per_degree) if per_degree[j] > 1]
+    if not crowded:
+        return None
+    if len(crowded) == 1:
+        return f"degree {crowded[0]} holds more than one entry"
+    return f"degrees {', '.join(crowded)} hold more than one entry"
+
+
+def agreed_table(shape: Partition, fields: list[Field], tables: list[BettiTable]) -> BettiTable:
+    """The first field's table, once every other field's table agrees with
+    it; a disagreement raises ProxyDisagreement, never resolves silently."""
+    for fld, other in zip(fields[1:], tables[1:]):
+        if other.entries != tables[0].entries:
+            raise ProxyDisagreement(
+                f"the tables over {fields[0]} and {fld} disagree for {shape}: "
+                f"{tables[0].entries} vs {other.entries}"
+            )
+    return tables[0]
+
+
 def radical_by_length(
     shape: Partition, characteristic: int, trace: list[str] | None = None
 ) -> Certificate | None:
@@ -616,6 +672,12 @@ def resolve_j_max(shape: Partition, j_max: int | None) -> int:
     return j_max
 
 
+def koszul_bounds(j_max: int) -> tuple[int, int, int]:
+    """The degree bounds a characteristic-0 Koszul table is tried at in
+    turn, each past a strand that the one before leaves open."""
+    return (j_max, j_max + 2, j_max + 4)
+
+
 def cm_verdict(
     shape: Partition,
     characteristic: int,
@@ -627,13 +689,20 @@ def cm_verdict(
     depth is defined as n - pd (graded Auslander-Buchsbaum); dim R/I is
     n - lambda_1 (the height theorem); CM is their equality; Gorenstein is
     CM with final total Betti number 1.  Without a degree bound it first
-    tries ``artinian_reduction``, in characteristic p over the one field of
-    ``artinian_field``; otherwise, and whenever it does not certify, the
-    table is the Koszul table up to ``j_max``, and in characteristic p the
-    failed attempt leaves nothing in the certificate.
-    Characteristic 0 runs over two large primes that must agree; set
-    ``exact_rational`` to also run over the rationals and compare.  Every
-    field's table must agree with the first one's.
+    tries ``artinian_reduction``: in characteristic p over the one field
+    of ``artinian_field``, and in characteristic 0 over the first proxy
+    prime alone, whose table is the rational one when ``flat_refusal``
+    finds nothing against it.  Otherwise the second proxy prime runs its
+    own ``artinian_reduction`` too (module docstring), and the trace says
+    which of the two fixed the table.  With a degree bound, or where the
+    attempt does not certify, the table is the Koszul table up to
+    ``j_max``, over both proxy primes in characteristic 0, and in
+    characteristic p the failed attempt leaves nothing in the certificate.
+    Set ``exact_rational`` to also compute the table over the rationals,
+    from the first prime's forms on the certified path, and compare it.
+    Every field's table must agree with the first one's
+    (``agreed_table``); the table reports ``characteristic``, not the
+    proxy prime it was computed over.
     """
     if shape.is_trivial:
         raise ValueError("the trivial shape is excluded")
@@ -645,19 +714,30 @@ def cm_verdict(
     fields = [field_of(p) for p in (PROXY_PRIMES if characteristic == 0 else (characteristic,))]
     fields += [QQ] if exact_rational else []
     tables, measured = None, {}
-    if j_max is None:
-        over = [artinian_field(shape, characteristic)] if characteristic else fields
+    if j_max is None and characteristic:
+        over = [artinian_field(shape, characteristic)]
+        tables, measured = artinian_reduction(shape, over, trace)
+        if tables is None:  # measured over a field the Koszul table does not use
+            measured = {}
+    elif j_max is None:
+        over = fields[:1] + fields[2:]  # the first prime, and QQ when asked for
         tables, measured = artinian_reduction(shape, over, trace)
         if tables is not None:
-            fields = over
-        elif characteristic:
-            # measured over a field the Koszul table does not use
-            measured = {}
+            e_v = measured.get("multiplicity") or height_and_purity(shape).top_primes
+            refusal = flat_refusal(tables[0], measured["length"], e_v)
+            if refusal is None:
+                trace.append(f"pinned over {over[0]} by flatness")
+            else:
+                trace.append(f"second prime: {refusal}")
+                second, _ = artinian_reduction(shape, fields[1:2], trace)
+                over = fields
+                tables = None if second is None else tables[:1] + second + tables[1:]
     if tables is not None:
+        fields = over
         kind, provenance = "artinian-length", f"betti.artinian_reduction({shape})"
     else:
         ideals = [specht_ideal(shape, fld) for fld in fields]
-        for bound in (jm, jm + 2, jm + 4):
+        for bound in koszul_bounds(jm):
             if bound > jm:
                 trace.append(f"extending j_max to {bound} (strand not closed)")
             tables = []
@@ -676,15 +756,9 @@ def cm_verdict(
                 f"out, {m} -> {m_reduced} variables"
             )
         kind, provenance = "heuristic", f"betti.koszul_betti(I^Sp_{shape}, j_max={bound})"
-    table = tables[0]
-    for fld, other in zip(fields[1:], tables[1:]):
-        if other.entries != table.entries:
-            raise ProxyDisagreement(
-                f"the tables over {fields[0]} and {fld} disagree for {shape}: "
-                f"{table.entries} vs {other.entries}"
-            )
+    table = replace(agreed_table(shape, fields, tables), characteristic=characteristic)
     if exact_rational:
-        trace.append("exact rational table agrees with both proxies")
+        trace.append(f"exact rational table agrees with {' and '.join(map(repr, fields[:-1]))}")
 
     pd = table.pd
     depth = n - pd

@@ -17,7 +17,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from json.encoder import encode_basestring_ascii as _escape
 from math import comb
 
@@ -25,10 +25,12 @@ from . import __version__
 from .fields import PROXY_PRIMES, field_of
 from .betti import (
     Certificate,
+    agreed_table,
     artinian_field,
     artinian_reduction,
     cm_verdict,
     koszul_betti,
+    koszul_bounds,
     radical_by_length,
     resolve_j_max,
 )
@@ -282,7 +284,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cm-check", help="Cohen-Macaulay / Gorenstein verdict")
     common(p, maxdeg=True)
-    p.add_argument("--exact-rational", action="store_true")
+    p.add_argument(
+        "--exact-rational", action="store_true",
+        help="also compute the table over QQ and compare it (characteristic 0 only)",
+    )
 
     p = sub.add_parser("catalan", help="Catalan generator counts")
     common(p, shape=False, char=True)
@@ -422,33 +427,33 @@ def _cmd_betti(args, report: Report) -> int:
     if shape.is_trivial:  # I^Sp is R itself, in every characteristic
         raise ValueError("the trivial shape is excluded")
     jm = resolve_j_max(shape, args.max_deg)
-    certified = None
+    # the complete table, when the Artinian reduction proves it, read up to
+    # the bound; in characteristic 0 over both proxy primes, which must
+    # agree, and up to the first bound of the Koszul path's extension that
+    # closes it off
     if args.char == 0:
-        table = cm_verdict(shape, 0, j_max=jm).table
-        over = " and ".join(f"GF({p})" for p in PROXY_PRIMES)
-        report.add(
-            "proxy_primes_agree",
-            True,
-            f"betti.cm_verdict over {over}, j<= {table.j_max}",
-        )
+        fields, bounds = [field_of(p) for p in PROXY_PRIMES], koszul_bounds(jm)
     else:
-        # the complete table, when the Artinian reduction proves it, read
-        # up to the bound; else the Koszul table up to the bound
-        fld = artinian_field(shape, args.char)
-        certified, _ = artinian_reduction(shape, [fld])
-        if certified is None:
-            table = koszul_betti(specht_ideal(shape, field_of(args.char)), jm)
-        else:
-            table = certified[0].up_to(jm)
+        fields, bounds = [artinian_field(shape, args.char)], (jm,)
+    certified, _ = artinian_reduction(shape, fields)
+    over = " and ".join(map(str, fields))
+    if certified is not None:
+        cuts = [agreed_table(shape, fields, certified).up_to(b) for b in bounds]
+        table = next((cut for cut in cuts if cut.closed_off), cuts[-1])
+        source = agree = f"betti.artinian_reduction({shape}) over {over}, j<= {table.j_max}"
+    elif args.char == 0:
+        table = cm_verdict(shape, 0, j_max=jm).table
+        source = f"betti.koszul_betti(I^Sp_{shape}, j_max={table.j_max}, char=0)"
+        agree = f"betti.cm_verdict over {over}, j<= {table.j_max}"
+    else:
+        table = koszul_betti(specht_ideal(shape, field_of(args.char)), jm)
+        source = f"betti.koszul_betti(I^Sp_{shape}, j_max={jm}, char={args.char})"
+    table = replace(table, characteristic=args.char)
+    if args.char == 0:
+        report.add("proxy_primes_agree", True, agree)
     report.tables["betti"] = table.to_jsonable()
     report.tables["betti_diagram"] = table.m2_lines()
-    report.add(
-        "top_strand_closed_off",
-        table.closed_off,
-        f"betti.koszul_betti(I^Sp_{shape}, j_max={table.j_max}, char={args.char})"
-        if certified is None
-        else f"betti.artinian_reduction({shape}) over {fld}, j<= {table.j_max}",
-    )
+    report.add("top_strand_closed_off", table.closed_off, source)
     return 0
 
 

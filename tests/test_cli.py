@@ -15,6 +15,7 @@ import pytest
 from spechtideals import betti, cli, ideals, linalg, specht, varieties
 from spechtideals.betti import ProxyDisagreement, SelfCheckError
 from spechtideals.cli import _COMMANDS, run
+from spechtideals.tableaux import Partition
 
 
 def run_json(argv):
@@ -120,16 +121,38 @@ class TestCommands:
         payload, _ = run_json(["betti", "--shape", "6,2", "--char", "3"])
         assert payload["tables"]["betti"]["closed_off"] is False
 
+    @pytest.mark.parametrize("shape", [
+        "1,1", "2,1", "1,1,1", "3,1", "2,2", "2,1,1", "1,1,1,1",
+        "4,1", "3,2", "3,1,1", "2,2,1", "2,1,1,1", "1,1,1,1,1",
+        "5,2", "4,1,1", "3,3",
+    ])
+    def test_betti_char0_is_the_koszul_pair_table(self, shape):
+        # the certified table, read as far as the Koszul path's extension
+        # reaches, is the table the two primes' Koszul path reported
+        payload, code = run_json(["betti", "--shape", shape, "--char", "0"])
+        part = Partition.from_text(shape)
+        koszul = betti.cm_verdict(part, 0, j_max=betti.default_j_max(part)).table
+        assert code == 0
+        assert payload["tables"]["betti"] == koszul.to_jsonable()
+        assert payload["tables"]["betti_diagram"] == koszul.m2_lines()
+        assert verdict(payload, "top_strand_closed_off") is koszul.closed_off
+        assert verdict(payload, "proxy_primes_agree") is True
+
     @pytest.mark.parametrize("shape, j_max", [("5,2", 9), ("4,1,1", 10)])
     def test_betti_char0_names_the_extended_bound(self, shape, j_max):
-        # the strands close only past the default bound (7 and 8); both
-        # provenances name the bound of the table beside them
+        # the strands close only past the default bound (7 and 8), so the
+        # certified table is read as far as the Koszul path's extension
+        # reaches; both provenances name its producer, both proxy primes
+        # and the bound of the table beside them
         payload, code = run_json(["betti", "--shape", shape, "--char", "0"])
         assert code == 0 and payload["tables"]["betti"]["j_max"] == j_max
         assert verdict(payload, "top_strand_closed_off") is True
         provenance = {v["name"]: v["provenance"] for v in payload["verdicts"]}
-        assert provenance["proxy_primes_agree"].endswith(f"j<= {j_max}")
-        assert f"j_max={j_max}," in provenance["top_strand_closed_off"]
+        expected = (
+            f"betti.artinian_reduction(({shape})) over GF(32003) and GF(1000003), j<= {j_max}"
+        )
+        assert provenance["proxy_primes_agree"] == expected
+        assert provenance["top_strand_closed_off"] == expected
 
     def test_betti_m2_format(self):
         report, code = run(["betti", "--shape", "3,3", "--char", "2", "--format", "m2"])
@@ -150,7 +173,7 @@ class TestCommands:
         assert verdict(payload, "certificate") == "artinian-length"
         assert payload["tables"]["certificate"] == {
             "kind": "artinian-length",
-            "fields": ["GF(32003)", "GF(1000003)"],
+            "fields": ["GF(32003)"],
             "j_max": 8,
             "length": 35,
             "e_V": 35,

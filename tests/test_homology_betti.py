@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -16,6 +17,7 @@ from spechtideals.betti import (
     artinian_reduction,
     cm_verdict,
     default_j_max,
+    flat_refusal,
     koszul_betti,
 )
 from spechtideals.fields import QQ, field_of
@@ -388,7 +390,7 @@ class TestCmVerdict:
         v = cm_verdict(Partition((2, 2)), 0, exact_rational=True)
         assert v.is_cm and any("exact rational" in t for t in v.trace)
         assert v.certificate.kind == "artinian-length"
-        assert v.certificate.fields == ("GF(32003)", "GF(1000003)", "QQ")
+        assert v.certificate.fields == ("GF(32003)", "QQ")
 
     def test_exact_rational_needs_characteristic_zero(self):
         with pytest.raises(ValueError, match="characteristic 0"):
@@ -661,6 +663,97 @@ class TestArtinianReduction:
 
 
 NONTRIVIAL_UP_TO_7 = [p for n in range(2, 8) for p in _partitions(n) if len(p) > 1]
+
+
+def _long_hook(parts):
+    """(a,1^k) with a >= 3 and k >= 2: the hooks the flat rule leaves to
+    the second proxy prime."""
+    return parts[0] >= 3 and len(parts) >= 3 and parts[1] == 1
+
+
+class TestFlatRule:
+    """Characteristic 0 on one prime: a certified GF(32003) table with
+    L = e(V) and at most one entry in each internal degree is the rational
+    table (``betti.flat_refusal``); other certified tables are ranked over
+    the second proxy prime too."""
+
+    def test_one_field_tables_are_the_rational_ones(self):
+        # every certified shape with n <= 7 lists one field but the long
+        # hooks; its table is the GF(1000003) table of the same forms and,
+        # for n <= 6, the exact rational one
+        proxies = [field_of(p) for p in PROXY_PRIMES]
+        pinned, both = [], []
+        for parts in NONTRIVIAL_UP_TO_7:
+            shape = Partition(parts)
+            if artinian_reduction(shape, proxies[:1])[0] is None:
+                continue  # not CM: the Koszul path, on both primes
+            v = cm_verdict(shape, 0)
+            assert v.certificate.kind == "artinian-length", parts
+            if v.certificate.fields != ("GF(32003)",):
+                assert v.certificate.fields == ("GF(32003)", "GF(1000003)"), parts
+                both.append(parts)
+                continue
+            pinned.append(parts)
+            assert v.trace[-1] == "pinned over GF(32003) by flatness"
+            over = proxies + ([QQ] if shape.n <= 6 else [])
+            tables, _ = artinian_reduction(shape, over)
+            for fld, table in zip(over, tables):
+                assert table.entries == v.table.entries, (parts, fld)
+        assert both == [p for p in NONTRIVIAL_UP_TO_7 if _long_hook(p)]
+        assert len(pinned) == 23
+
+    @pytest.mark.parametrize("parts, degrees", [
+        ((3, 1, 1), "degree 5 holds"),
+        ((4, 1, 1), "degrees 5, 6, 7 hold"),
+        ((3, 1, 1, 1), "degrees 8, 9 hold"),
+    ])
+    def test_two_entries_in_one_degree_take_the_second_prime(self, parts, degrees):
+        shape = Partition(parts)
+        (table,), measured = artinian_reduction(shape, [F])
+        reason = f"{degrees} more than one entry"
+        assert flat_refusal(table, measured["length"], measured["multiplicity"]) == reason
+        v = cm_verdict(shape, 0)
+        assert v.trace == [f"second prime: {reason}"]
+        assert v.certificate.fields == ("GF(32003)", "GF(1000003)")
+        assert v.certificate.length == measured["length"]
+
+    def test_length_above_e_v_is_refused(self):
+        (table,), _ = artinian_reduction(Partition((2, 2)), [F])
+        assert flat_refusal(table, 4, 4) is None
+        assert flat_refusal(table, 5, 4) == "length 5 is not e(V) = 4"
+
+    def test_no_forms_still_compare_the_length(self, monkeypatch):
+        # (3,1) needs no forms, so its length 1 is checked against e(V) by
+        # the rule alone: an e(V) of 2 sends it to the second prime
+        monkeypatch.setattr(
+            betti, "height_and_purity", lambda shape: varieties.PurityReport(
+                shape=shape, height=3, pure=True, heights_seen=(3,),
+                closed_form_pure=True, top_primes=2,
+            )
+        )
+        v = cm_verdict(Partition((3, 1)), 0)
+        assert v.trace == ["second prime: length 1 is not e(V) = 2"]
+        assert v.certificate.fields == ("GF(32003)", "GF(1000003)")
+
+    def test_second_prime_disagreement_raises(self, monkeypatch):
+        # the long hooks' two tables must agree
+        real = betti.artinian_reduction
+
+        def skewed(shape, fields, trace=None):
+            tables, measured = real(shape, fields, trace)
+            if tables is not None and fields[0].characteristic == PROXY_PRIMES[1]:
+                tables = [replace(t, entries={**t.entries, (2, 6): 1}) for t in tables]
+            return tables, measured
+
+        monkeypatch.setattr(betti, "artinian_reduction", skewed)
+        assert cm_verdict(Partition((2, 2)), 0).certificate.fields == ("GF(32003)",)
+        with pytest.raises(betti.ProxyDisagreement, match="GF\\(1000003\\)"):
+            cm_verdict(Partition((4, 1, 1)), 0)
+
+    def test_table_reports_characteristic_zero(self):
+        for parts in [(2, 2), (4, 1, 1)]:
+            assert cm_verdict(Partition(parts), 0).table.characteristic == 0
+        assert cm_verdict(Partition((3, 3)), 0, j_max=8).table.characteristic == 0
 # the pairs (shape, p), n <= 7 and p in (2, 3, 5), whose Artinian reduction
 # over ``artinian_field`` does not certify; every other pair is proved CM
 NOT_CERTIFIED = {

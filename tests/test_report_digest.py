@@ -20,9 +20,9 @@ from conftest import perfbench_module
 from spechtideals import cli
 
 # sha256 of the rendered reports and exit codes the queries give
-_DIGEST = "0f1cc459a8bab180177b8f658722a7cbf88bb026b80c589e2f8100ba4bf3db68"
+_DIGEST = "86b045aa037f34df65dcea35f3729a620ac121a4eadc519e2ec86074af1255e3"
 # sha256 of the ``betti`` queries' tables and exit codes
-_BETTI_TABLES_DIGEST = "a26671bdb8c6980c0b51f4be9b864848d790f48b449fe273de0336ec3bf3eb9b"
+_BETTI_TABLES_DIGEST = "6a9eba5736a208e14e261e40f4b53982716314ed40b31bd192afab4733fafab2"
 
 
 def _argvs(commands) -> list[tuple]:
