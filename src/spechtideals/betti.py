@@ -90,16 +90,17 @@ sum in every internal degree j.  A GF(p) table with at most one nonzero
 entry in each internal degree is therefore the QQ table
 (``flat_refusal``).  The hooks (a,1^k) with a >= 3 and k >= 2 have two
 entries in some degree, (4,1,1) in degrees 5-7: their table is computed
-over the second proxy prime too, from forms drawn there, and the two
-tables must agree (a disagreement raises, never resolves silently).  Each
-bounds the rational table entrywise by the same argument; their agreement
-stands in for a proof there, and the certificate lists both fields.  A
-Koszul table in characteristic 0 is computed over both primes, which must
-agree likewise.  ``betti --char 0`` ranks the certified quotient of one
-draw over both primes, which must agree, and reads it up to the first
-bound of ``koszul_bounds`` that closes it off, as far as the Koszul table
-it replaces would have reached; it takes that Koszul table only where
-nothing is certified.  An exact-rational run is available behind a flag.
+over the second proxy prime too, and the two tables must agree (a
+disagreement raises, never resolves silently).  Each bounds the rational
+table entrywise by the same argument; their agreement stands in for a
+proof there, and the certificate lists both fields.  Every field draws
+and certifies its own reduction (``artinian_reduction``), QQ too, behind
+a flag, from the integers that the first prime draws.  A Koszul table in
+characteristic 0 is computed over both primes, which must agree
+likewise.  ``betti --char 0`` takes the certified tables of both primes
+and reads them up to the first bound of ``koszul_bounds`` that closes
+them off, as far as the Koszul table they replace would have reached; it
+takes that Koszul table only where nothing is certified.
 """
 
 from __future__ import annotations
@@ -368,12 +369,13 @@ class Certificate:
     over ``fields`` and the table is complete; ``heuristic``, the table is
     a Koszul table up to ``j_max`` whose strands look closed.  In
     characteristic p ``fields`` is one field, that of ``artinian_field``
-    or GF(p).  In characteristic 0 an ``artinian-length`` certificate
-    that lists one field, GF(``PROXY_PRIMES[0]``), says that flatness
-    pins that field's table as the rational one (``flat_refusal``); one
-    that lists both proxy primes says that it does not, and that the two
-    primes' tables agree.  A ``heuristic`` one lists both proxy primes.
-    QQ comes last when the exact-rational table was computed and agrees.
+    or GF(p).  Each field of an ``artinian-length`` certificate drew and
+    certified its own reduction.  In characteristic 0 one field,
+    GF(``PROXY_PRIMES[0]``), says that flatness pins its table as the
+    rational one (``flat_refusal``); both proxy primes say that it does
+    not and that their tables agree.  A ``heuristic`` one lists both proxy
+    primes.  QQ comes last when the exact-rational table was computed and
+    agrees.
     A certificate records only values measured over its own fields: a
     ``heuristic`` one keeps the ``length`` and ``multiplicity`` of an
     Artinian attempt that did not certify, if one ran, in characteristic
@@ -452,16 +454,18 @@ def artinian_draw(
 ) -> tuple[list[list[int]], GeneratedIdeal, list[int]] | None:
     """The first of ``_SOP_DRAWS`` seeded draws of n - 1 - lambda_1 linear
     forms in the first lambda_1 variables, coefficients drawn from all of
-    ``fld``, that is a system of parameters over ``fld`` (module
+    ``fld`` (over QQ the integers below ``PROXY_PRIMES[0]``, the forms
+    that prime draws), that is a system of parameters over ``fld`` (module
     docstring): (the images of x_1 .. x_n, the image ideal over ``fld``,
     the Hilbert function of its quotient up to its first zero), or None.
     ``artinian_reduction`` and ``radical_by_length`` both draw here."""
     n, lam1 = shape.n, shape.parts[0]
     units = [[int(i == a) for i in range(lam1)] for a in range(lam1)]
     top = _artinian_top(shape)
+    order = fld.order or PROXY_PRIMES[0]
     rng = random.Random(0)  # a fixed draw keeps the report reproducible
     for _ in range(_SOP_DRAWS):
-        forms = [[rng.randrange(fld.order) for _ in range(lam1)] for _ in range(n - 1 - lam1)]
+        forms = [[rng.randrange(order) for _ in range(lam1)] for _ in range(n - 1 - lam1)]
         # x_n -> 0 is the translation step: x_n is regular on R/I over every
         # field, as ``ideals.SpechtIdeal`` states
         images = units + forms + [[0] * lam1]
@@ -506,16 +510,15 @@ def artinian_reduction(
 ) -> tuple[list[BettiTable] | None, dict]:
     """The Artinian reduction of R/I^Sp over each field (module docstring).
 
-    Returns the complete Betti table over each field when L = e(V) (or no
-    forms were needed), else None; and the values measured over the first
-    field (length, multiplicity, h_vector) for the certificate.  The
-    fields are the proxy primes in characteristic 0 and the one field of
-    ``artinian_field`` in characteristic p.  e(V) comes from
-    ``varieties.height_and_purity``, which lists nothing, so the column-cap
-    gate fires before any Hilbert function is computed.  The forms are
-    drawn over the first field (``artinian_draw``), as integers below its
-    order, and that field settles L = e(V) before any other field is tried,
-    so a shape that is not CM costs one Hilbert function per draw.
+    Every field draws and certifies its own reduction: its own draw
+    (``artinian_draw``) and its own L = e(V) (``_length_is_e_v``).
+    Returns the complete Betti table over each field when each certifies
+    (or no forms were needed), else None; and the values measured over the
+    first field (length, multiplicity, h_vector) for the certificate.  The
+    first field that fails ends the attempt, so a shape that is not CM
+    costs one Hilbert function per draw over the first field alone.  e(V)
+    comes from ``varieties.height_and_purity``, which lists nothing, so the
+    column-cap gate fires before any Hilbert function is computed.
     """
     trace = [] if trace is None else trace
     n, lam1 = shape.n, shape.parts[0]
@@ -533,30 +536,19 @@ def artinian_reduction(
                 f"no Artinian reduction: e(V) 2^lambda_1 = {e_v << lam1} exceeds the column cap"
             )
             return None, measured
-    # a GF(p) dimension bounds the rational one from above: integer forms
-    # that pass over the first field are a system of parameters in
-    # characteristic 0
-    drawn = artinian_draw(shape, fields[0], trace)
-    if drawn is None:
-        return None, measured
-    images, art, h = drawn
-    quotients = []
+    tables = []
     for fld in fields:
-        if quotients:  # the first field's quotient is the accepted draw's
-            art = artinian_ideal(shape, images, fld)
-            h = hilbert_function(art, _artinian_top(shape) + 1)
-            if h[-1]:
-                trace.append(f"drawn forms are not a system of parameters over {fld}")
-                return None, measured
-            h = h[: h.index(0)]
-        else:
+        drawn = artinian_draw(shape, fld, trace)
+        if drawn is None:
+            return None, measured
+        _, art, h = drawn
+        if not tables:
             measured.update(length=sum(h), h_vector=tuple(h))
         e_v = measured.get("multiplicity")
         if e_v is not None and not _length_is_e_v(shape, h, e_v, fld, trace):
             return None, measured
-        quotients.append((art, len(h)))
-    # every entry sits at j <= socle degree + lam1, below len(h) + lam1
-    tables = [replace(koszul_betti(art, top_j + lam1), n=n) for art, top_j in quotients]
+        # every entry sits at j <= socle degree + lam1, below len(h) + lam1
+        tables.append(replace(koszul_betti(art, len(h) + lam1), n=n))
     return tables, measured
 
 
@@ -688,21 +680,19 @@ def cm_verdict(
 
     depth is defined as n - pd (graded Auslander-Buchsbaum); dim R/I is
     n - lambda_1 (the height theorem); CM is their equality; Gorenstein is
-    CM with final total Betti number 1.  Without a degree bound it first
-    tries ``artinian_reduction``: in characteristic p over the one field
-    of ``artinian_field``, and in characteristic 0 over the first proxy
-    prime alone, whose table is the rational one when ``flat_refusal``
-    finds nothing against it.  Otherwise the second proxy prime runs its
-    own ``artinian_reduction`` too (module docstring), and the trace says
-    which of the two fixed the table.  With a degree bound, or where the
+    CM with final total Betti number 1.  Without a degree bound each field
+    draws and certifies its own ``artinian_reduction``: first that of
+    ``artinian_field`` in characteristic p, or the first proxy prime in
+    characteristic 0, whose table is the rational one when ``flat_refusal``
+    finds nothing against it; then, in one more call, the second proxy
+    prime when it does (the trace says which rule fixed the table), and QQ
+    when ``exact_rational`` asks for it.  With a degree bound, or where the
     attempt does not certify, the table is the Koszul table up to
-    ``j_max``, over both proxy primes in characteristic 0, and in
-    characteristic p the failed attempt leaves nothing in the certificate.
-    Set ``exact_rational`` to also compute the table over the rationals,
-    from the first prime's forms on the certified path, and compare it.
-    Every field's table must agree with the first one's
+    ``j_max``: over both proxy primes, and QQ when asked, in characteristic
+    0; in characteristic p the failed attempt leaves nothing in the
+    certificate.  Every field's table must agree with the first one's
     (``agreed_table``); the table reports ``characteristic``, not the
-    proxy prime it was computed over.
+    field it was computed over.
     """
     if shape.is_trivial:
         raise ValueError("the trivial shape is excluded")
@@ -714,24 +704,24 @@ def cm_verdict(
     fields = [field_of(p) for p in (PROXY_PRIMES if characteristic == 0 else (characteristic,))]
     fields += [QQ] if exact_rational else []
     tables, measured = None, {}
-    if j_max is None and characteristic:
-        over = [artinian_field(shape, characteristic)]
+    if j_max is None:
+        over = [artinian_field(shape, characteristic) if characteristic else fields[0]]
         tables, measured = artinian_reduction(shape, over, trace)
-        if tables is None:  # measured over a field the Koszul table does not use
-            measured = {}
-    elif j_max is None:
-        over = fields[:1] + fields[2:]  # the first prime, and QQ when asked for
-        tables, measured = artinian_reduction(shape, over, trace)
-        if tables is not None:
+        more = fields[2:]  # QQ when asked for
+        if tables is not None and not characteristic:
             e_v = measured.get("multiplicity") or height_and_purity(shape).top_primes
             refusal = flat_refusal(tables[0], measured["length"], e_v)
             if refusal is None:
                 trace.append(f"pinned over {over[0]} by flatness")
             else:
                 trace.append(f"second prime: {refusal}")
-                second, _ = artinian_reduction(shape, fields[1:2], trace)
-                over = fields
-                tables = None if second is None else tables[:1] + second + tables[1:]
+                more = fields[1:]
+        if tables is not None and more:  # each further field certifies itself
+            over += more
+            further, _ = artinian_reduction(shape, more, trace)
+            tables = None if further is None else tables + further
+        if tables is None and characteristic:  # measured over a field the Koszul table does not use
+            measured = {}
     if tables is not None:
         fields = over
         kind, provenance = "artinian-length", f"betti.artinian_reduction({shape})"

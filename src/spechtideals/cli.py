@@ -565,9 +565,10 @@ def _cmd_socle_probe(args, report: Report) -> int:
         x = lambda i: Polynomial.variable(m, i - 1, fld)
         witness = x(1) * x(2) + x(2) * x(3) + x(3) * x(1)
         nf = ideal.quotient_ring().normal_form(witness)
+        # a witness that is 0 in the quotient names no socle element
         report.add(
             "witness_x1x2+x2x3+x3x1_in_socle",
-            soc.contains(nf),
+            not nf.is_zero() and soc.contains(nf),
             provenance,
         )
     e1 = Polynomial.zero(m, fld)
@@ -597,6 +598,8 @@ def _cmd_experiment(args, report: Report) -> int:
             primes.append(int(tok))
     if not primes:
         raise ValueError(f"--primes lists no prime, got {args.primes!r}")
+    if len(set(primes)) < len(primes):
+        raise ValueError(f"--primes lists a prime twice, got {args.primes!r}")
     shapes = []
     for n in range(4, n_max + 1):
         for d in range(2, n // 2 + 1):

@@ -154,6 +154,46 @@ class TestCommands:
         assert provenance["proxy_primes_agree"] == expected
         assert provenance["top_strand_closed_off"] == expected
 
+    def test_betti_char0_without_a_certificate_takes_the_koszul_pair(self):
+        # (3,2,1) is not CM (L = 20 > e(V) = 15): the table is the Koszul
+        # table of cm_verdict over both proxy primes
+        shape = Partition((3, 2, 1))
+        payload, code = run_json(["betti", "--shape", "3,2,1", "--char", "0"])
+        koszul = betti.cm_verdict(shape, 0, j_max=betti.default_j_max(shape)).table
+        assert code == 0
+        assert payload["tables"]["betti"] == koszul.to_jsonable()
+        provenance = {v["name"]: v["provenance"] for v in payload["verdicts"]}
+        assert provenance["top_strand_closed_off"] == (
+            f"betti.koszul_betti(I^Sp_(3,2,1), j_max={koszul.j_max}, char=0)"
+        )
+        assert provenance["proxy_primes_agree"] == (
+            f"betti.cm_verdict over GF(32003) and GF(1000003), j<= {koszul.j_max}"
+        )
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["betti", "--shape", "1,1,1", "--char", "0"], ["GF(32003)", "GF(1000003)"]),
+        (["cm-check", "--shape", "4,1,1", "--char", "0"], ["GF(32003)", "GF(1000003)"]),
+        (["cm-check", "--shape", "2,2", "--exact-rational"], ["GF(32003)", "QQ"]),
+    ])
+    def test_each_field_draws_its_own_reduction(self, monkeypatch, argv, fields):
+        # every field of a certified table draws and certifies its own forms;
+        # QQ draws the integers GF(32003) draws
+        drawn = []
+        real = betti.artinian_draw
+
+        def spy(shape, fld, trace):
+            out = real(shape, fld, trace)
+            drawn.append((repr(fld), out and out[0]))
+            return out
+
+        monkeypatch.setattr(betti, "artinian_draw", spy)
+        _, code = run(argv)
+        assert code == 0
+        assert [fld for fld, _ in drawn] == fields
+        assert all(images is not None for _, images in drawn)
+        if fields[-1] == "QQ":
+            assert drawn[0][1] == drawn[1][1]
+
     def test_betti_m2_format(self):
         report, code = run(["betti", "--shape", "3,3", "--char", "2", "--format", "m2"])
         assert code == 0
@@ -302,6 +342,12 @@ class TestCommands:
         assert code == 0
         assert verdict(payload, "e1_bijective") is True
 
+    @pytest.mark.parametrize("shape, char", [("2,1", "3"), ("3", "0"), ("3", "2")])
+    def test_socle_probe_zero_witness_is_not_in_the_socle(self, shape, char):
+        # the witness's normal form is 0: it names no socle element
+        payload, _ = run_json(["socle-probe", "--shape", shape, "--char", char])
+        assert verdict(payload, "witness_x1x2+x2x3+x3x1_in_socle") is False
+
     def test_socle_probe_builds_one_quotient_ring(self, monkeypatch):
         # the socle, the witness's normal form and the e1 map share R/I
         built = []
@@ -442,6 +488,11 @@ class TestErrors:
         _, code = run(["hilbert", "--shape", "2,2", "--char", "6"])
         assert code == 2
 
+    def test_strong_pseudoprime_char_exit_two(self):
+        # 2047 = 23 * 89 passes the Miller-Rabin test to base 2
+        _, code = run(["cm-check", "--shape", "2,2", "--char", "2047"])
+        assert code == 2
+
     def test_resource_cap_exit_three(self):
         # C(24, 13) minimal primes: refused from the closed-form count
         _, code = run(["minimal-primes", "--shape", "12,12"])
@@ -490,6 +541,8 @@ class TestRefusedInput:
             # an empty prime list holds no cell either
             ["experiment", "--n-max", "4", "--primes", ""],
             ["experiment", "--n-max", "4", "--primes", ","],
+            # a repeated prime would print its cells twice
+            ["experiment", "--n-max", "4", "--primes", "0,0"],
             # an exact rational table exists only in characteristic 0
             ["cm-check", "--shape", "2,2", "--char", "2", "--exact-rational"],
         ],

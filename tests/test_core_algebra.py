@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spechtideals.fields import QQ, field_of
+from spechtideals.fields import QQ, field_of, is_prime
 from spechtideals.linalg import echelon_span, intersect_spans
 from spechtideals.poly import Polynomial, monomials_of_degree
 from spechtideals.specht import specht_poly
@@ -46,6 +46,25 @@ class TestFields:
             field_of(4)
         with pytest.raises(ValueError):
             field_of(1)
+
+    def test_is_prime_matches_a_sieve(self):
+        limit = 10**5
+        sieve = [False, False] + [True] * (limit - 2)
+        for q in range(2, int(limit**0.5) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = [False] * len(range(q * q, limit, q))
+        assert [m for m in range(limit) if is_prime(m)] == [m for m in range(limit) if sieve[m]]
+
+    @pytest.mark.parametrize("m", [2047, 1_373_653, 25_326_001])
+    def test_is_prime_rejects_strong_pseudoprimes(self, m):
+        # strong pseudoprimes to base 2; to bases 2, 3; to bases 2, 3, 5
+        assert not is_prime(m)
+        with pytest.raises(ValueError):
+            field_of(m)
+
+    @pytest.mark.parametrize("m", [13, 2_147_483_629])
+    def test_is_prime_accepts_primes(self, m):
+        assert is_prime(m)
 
     def test_gf_arithmetic(self):
         f5 = field_of(5)

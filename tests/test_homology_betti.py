@@ -679,8 +679,8 @@ class TestFlatRule:
 
     def test_one_field_tables_are_the_rational_ones(self):
         # every certified shape with n <= 7 lists one field but the long
-        # hooks; its table is the GF(1000003) table of the same forms and,
-        # for n <= 6, the exact rational one
+        # hooks; its table is the GF(1000003) table of that prime's own
+        # forms and, for n <= 6, the exact rational one
         proxies = [field_of(p) for p in PROXY_PRIMES]
         pinned, both = [], []
         for parts in NONTRIVIAL_UP_TO_7:
